@@ -20,35 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupElement, Generator, sw_shift_matrix, sw_shift_generator
-from .layer import LConvLayer, materialize
+from .layer import materialize
 from .numerics import DimensionError, as_matrix, cosine_correlation
-
-
-@dataclass(frozen=True)
-class ApproxConfig:
-    """Near-identity step plan: bound eta, step count, per-step coefficients.
-
-    `path` holds each step's coefficient vector over the generator basis;
-    for a one-parameter target it is simply n_steps copies of [z / n].
-    """
-    eta: float
-    n_steps: int
-    path: tuple
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise DimensionError("eta must be positive")
-        if self.n_steps != len(self.path):
-            raise DimensionError(
-                f"{self.n_steps} steps but {len(self.path)} path entries")
-        for step in self.path:
-            if np.linalg.norm(np.atleast_1d(step)) > self.eta + 1e-12:
-                raise DimensionError("a path step exceeds the eta bound")
-
-    @staticmethod
-    def one_parameter(z, n):
-        return ApproxConfig(eta=abs(z) / n + 1e-15, n_steps=n,
-                            path=tuple([z / n] for _ in range(n)))
 
 
 @dataclass(frozen=True)
@@ -113,33 +86,6 @@ def approx_group_element(gen, z, n):
     m = np.linalg.matrix_power(step, n)
     label = gen.label if isinstance(gen, Generator) else "generator"
     return GroupElement(matrix=m, label=f"approx z={float(z):g} n={n} [{label}]")
-
-
-def lconv_stack_for_anchor(gen, coefficients):
-    """L-conv layers (W0 = I, scalar eps) whose transports compose to the anchor.
-
-    `coefficients` is an ApproxConfig or a plain per-step list of eps
-    values along the (single) generator; for a one-parameter target g(z)
-    it is simply [z/n] * n, and the composed transport equals
-    approx_group_element(gen, z, n) exactly.
-    """
-    if isinstance(coefficients, ApproxConfig):
-        coefficients = [step[0] for step in coefficients.path]
-    return [LConvLayer(w0=np.array([[1.0]]), eps=[float(e)], generators=[gen],
-                       scalar_eps=True)
-            for e in coefficients]
-
-
-def stack_transport(layers):
-    """The matrix a stack of single-generator W0 = I layers applies to f."""
-    if not layers:
-        raise DimensionError("empty layer stack")
-    d = layers[0].d
-    m = np.eye(d)
-    for layer in layers:
-        step = np.eye(d) + layer.eps[0] * materialize(layer.generators[0])
-        m = step @ m
-    return m
 
 
 def shift_kernel(d, offsets, weights):

@@ -105,10 +105,12 @@ def _optimizer(cfg):
 
 def cmd_gen_data(cfg, args):
     _take(cfg, ("task", "width", "height", "theta", "theta_max", "n_train",
-                "n_test", "seed", "threads", "out_dir"), required=("task",))
+                "n_test", "seed", "out_dir"), required=("task",))
     out_dir = _resolve_out_dir(cfg, args)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     kind = cfg["task"]
+    if kind not in ("fixed-angle", "angle-pairs"):
+        raise ConfigError(f"unknown dataset task {kind!r}")
     for key in ("n_train", "n_test"):
         if key in cfg and cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -126,7 +128,7 @@ def cmd_gen_data(cfg, args):
                  "x_test": "X_test", "y_test": "Y_test"}
         for name in names:
             write_matrix(os.path.join(out_dir, f"{upper[name]}.mat"), data[name])
-    elif kind == "angle-pairs":
+    else:
         task = AngleRegressionTask(
             width=cfg.get("width", 7), height=cfg.get("height", 7),
             theta_max=cfg.get("theta_max", np.pi / 3),
@@ -138,8 +140,6 @@ def cmd_gen_data(cfg, args):
             write_matrix(os.path.join(out_dir, f"Y_{split}.mat"), data[f"y_{split}"])
             write_matrix(os.path.join(out_dir, f"theta_{split}.mat"),
                          data[f"theta_{split}"][:, None])
-    else:
-        raise ConfigError(f"unknown dataset task {kind!r}")
     _write_json(os.path.join(out_dir, "manifest.json"),
                 {"task": kind, "seed": seed, "config_sha256": _config_hash(echo)})
     return EXIT_OK
@@ -159,12 +159,14 @@ def _write_report(out_dir, report):
 
 def cmd_train(cfg, args):
     _take(cfg, ("task", "width", "height", "theta", "theta_max", "m_copies",
-                "recursions", "hidden", "n_train", "n_test", "seed", "threads",
+                "recursions", "hidden", "n_train", "n_test", "seed",
                 "optimizer", "out_dir", "resume"), required=("task", "optimizer"))
     out_dir = _resolve_out_dir(cfg, args)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     opt = _optimizer(cfg["optimizer"])
     kind = cfg["task"]
+    if kind not in ("fixed-angle", "angle-regression"):
+        raise ConfigError(f"unknown training task {kind!r}")
     echo = dict(cfg, seed=seed, out_dir=out_dir)
     _echo_run(out_dir, "train", echo)
     resume = cfg.get("resume")
@@ -177,7 +179,7 @@ def cmd_train(cfg, args):
                 n_test=cfg.get("n_test", 10000), seed=seed)
             report = train_fixed_angle(task, opt, resume_dir=resume,
                                        checkpoint_dir=os.path.join(out_dir, "checkpoint"))
-        elif kind == "angle-regression":
+        else:
             task = AngleRegressionTask(
                 width=cfg.get("width", 7), height=cfg.get("height", 7),
                 theta_max=cfg.get("theta_max", np.pi / 3),
@@ -188,8 +190,6 @@ def cmd_train(cfg, args):
                 n_test=cfg.get("n_test", 2000), seed=seed)
             report = train_angle_regression(task, opt, resume_dir=resume,
                                             checkpoint_dir=os.path.join(out_dir, "checkpoint"))
-        else:
-            raise ConfigError(f"unknown training task {kind!r}")
     except TrainingDivergedError as exc:
         if exc.report is not None:
             _write_report(out_dir, exc.report)
@@ -203,7 +203,7 @@ def cmd_train(cfg, args):
 
 
 def cmd_eval(cfg, args):
-    _take(cfg, ("checkpoint", "data_dir", "out_dir", "seed", "threads"),
+    _take(cfg, ("checkpoint", "data_dir", "out_dir", "seed"),
           required=("checkpoint", "data_dir"))
     out_dir = _resolve_out_dir(cfg, args)
     echo = dict(cfg, out_dir=out_dir)
@@ -220,7 +220,7 @@ def cmd_eval(cfg, args):
 
 
 def cmd_approx(cfg, args):
-    _take(cfg, ("d", "d_sweep", "z", "n_values", "threads", "out_dir", "seed"))
+    _take(cfg, ("d", "d_sweep", "z", "n_values", "out_dir", "seed"))
     out_dir = _resolve_out_dir(cfg, args)
     echo = dict(cfg, out_dir=out_dir)
     _echo_run(out_dir, "approx", echo)
@@ -231,30 +231,16 @@ def cmd_approx(cfg, args):
     if not n_values:
         raise ConfigError("empty n_values sweep")
     z = cfg.get("z", 2.0)
-    threads = int(cfg.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-
-    def one(d):
+    for d in ds:
         rows = shift_approx_sweep(int(d), z, n_values)
         write_csv(os.path.join(out_dir, f"shift_approx_d{d}.csv"),
                   ("n", "eta", "frobenius_error", "correlation"), rows)
-
-    if threads > 1 and len(ds) > 1:
-        # the sweep entries are independent and each writes its own file,
-        # so fanning out does not disturb reproducibility
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, ds))
-    else:
-        for d in ds:
-            one(d)
     return EXIT_OK
 
 
 def cmd_theory(cfg, args):
     _take(cfg, ("check", "sizes", "eps_scale", "channels", "grid_size",
-                "instances", "group", "out_dir", "seed", "threads"),
+                "instances", "group", "out_dir", "seed"),
           required=("check",))
     out_dir = _resolve_out_dir(cfg, args)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)

@@ -15,10 +15,21 @@ rotation generator up to scale and sign (the model is exactly invariant
 under (L, eps) -> (-L, -eps), so the sign of the learned generator is
 seed dependent).
 
-Everything is deterministic given (seed, config): data, shuffling, and
-initialization draw from separate PCG64 streams at fixed offsets from the
-task seed (data seed, seed+1 for the test split, seed+2 init, seed+3
-shuffling), and the minibatch loop is single threaded.
+Both pipelines train through one epoch loop, `_fit`: a pipeline hands it
+a `batch(idx) -> (loss, grads)` closure and an `evaluate()` closure, and
+the loop owns the shuffle, the minibatches, the divergence check, the
+Adam or SGD step, the per-epoch loss curve and exact resume.  Everything
+is deterministic given (seed, config): each run draws from separate PCG64
+streams at fixed offsets from the task seed,
+
+    seed      training split
+    seed + 1  test split
+    seed + 2  parameter initialization
+    seed + 3  minibatch shuffling, one permutation per epoch
+
+and the minibatch loop is single threaded.  A resumed run draws the
+permutations of the epochs it skips, so it continues the unbroken run
+bit for bit.
 """
 
 import json
@@ -28,7 +39,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .groups import rotation_matrix_bilinear, sw_rotation_generator
+from .groups import (_bilinear_resample, rotation_matrix_bilinear,
+                     sw_rotation_generator)
 from .layer import LConvLayer, load_checkpoint, materialize, save_checkpoint
 from .numerics import (LconvError, SeededRng, cosine_correlation,
                        least_squares_solve, read_matrix, write_matrix)
@@ -225,71 +237,97 @@ def load_train_state(directory):
     return layer, params, state, extra["epoch"]
 
 
+def _start(resume_dir, opt, fresh):
+    """(params, optimizer state, first epoch): `fresh()` parameters at
+    epoch 0, or a checkpoint's; Adam moments start at zero when absent."""
+    if resume_dir:
+        _, params, state, start_epoch = load_train_state(resume_dir)
+    else:
+        params, state, start_epoch = fresh(), None, 0
+    if state is None and opt.kind == "adam":
+        state = adam_init(params)
+    return params, state, start_epoch
+
+
+def _shared_layer(params, w0):
+    """The layer trained through `params`: it holds params["gen"] (and
+    params["eps"] when eps is trained) themselves, because the optimizers
+    update those arrays in place; a copy would silently freeze them."""
+    scalar = "eps" not in params
+    layer = LConvLayer(w0=w0, eps=[1.0 if scalar else params["eps"]],
+                       generators=[params["gen"]], scalar_eps=scalar)
+    if (layer.generators[0] is not params["gen"]
+            or not (scalar or layer.eps[0] is params["eps"])):
+        raise RuntimeError("layer copied a trained parameter instead of sharing it")
+    return layer
+
+
+def _fit(report, params, state, opt, start_epoch, n, batch, evaluate):
+    """The epoch loop shared by both pipelines.
+
+    `batch(idx)` returns the minibatch loss and the gradients for the
+    sample indices `idx` into the n training samples; `evaluate()`
+    returns the test MSE.  Epochs run from `start_epoch` to `opt.epochs`,
+    with the shuffle stream (task seed + 3) advanced past the skipped
+    epochs so a resumed run matches the unbroken one.  Fills
+    `report.loss_curve` and `report.final_test_mse`.
+    """
+    shuffle = SeededRng(report.seed + 3)
+    for _ in range(start_epoch):
+        shuffle.permutation(n)
+    for epoch in range(start_epoch, opt.epochs):
+        perm = shuffle.permutation(n)
+        total = 0.0
+        for start in range(0, n, opt.batch_size):
+            idx = perm[start:start + opt.batch_size]
+            batch_loss, grads = batch(idx)
+            if not np.isfinite(batch_loss):
+                raise TrainingDivergedError(
+                    f"loss became non-finite at epoch {epoch}", epoch, report)
+            total += batch_loss * idx.size
+            if opt.kind == "adam":
+                adam_step(params, grads, state, opt)
+            else:
+                sgd_step(params, grads, opt)
+        report.loss_curve.append((epoch, total / n, evaluate()))
+    report.final_test_mse = (report.loss_curve[-1][2] if report.loss_curve
+                             else evaluate())
+
+
 def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     """Learn a dense generator from fixed-angle rotation pairs.
 
     Minimizes mean ||(I + L) f - R f||^2 over the training set with the
     residual path frozen (W0 = 1, eps = 1).  Reports the cosine
     correlation of the learned L against the least-squares oracle
-    R_ls - I and against the exact R - I.  A resumed run reproduces the
-    unbroken run exactly: epochs continue from the checkpoint counter and
-    the shuffle stream is fast-forwarded to match.
+    R_ls - I and against the exact R - I.  The oracle is solved before
+    training, so a training split it cannot use (fewer samples than
+    pixels) fails before the first epoch.
     """
     t0 = time.perf_counter()
     data = gen_fixed_angle_dataset(task)
     x_train, y_train = data["x_train"], data["y_train"]
     x_test, y_test = data["x_test"], data["y_test"]
     d = task.d
+    r_ls = least_squares_solve(x_train, y_train)
 
-    start_epoch = 0
-    if resume_dir:
-        _, params, state, start_epoch = load_train_state(resume_dir)
-        layer = LConvLayer(w0=np.array([[1.0]]), eps=[1.0],
-                           generators=[params["gen"]], scalar_eps=True,
-                           train_w0=False, train_eps=False)
-        if state is None and opt.kind == "adam":
-            state = adam_init(params)
-    else:
-        init = SeededRng(task.seed + 2)
-        params = {"gen": init.uniform_signed(1.0 / np.sqrt(d), (d, d))}
-        layer = LConvLayer(w0=np.array([[1.0]]), eps=[1.0], generators=[params["gen"]],
-                           scalar_eps=True, train_w0=False, train_eps=False)
-        state = adam_init(params) if opt.kind == "adam" else None
-    shuffle = SeededRng(task.seed + 3)
-    n = x_train.shape[1]
-    for _ in range(start_epoch):
-        shuffle.permutation(n)
+    params, state, start_epoch = _start(resume_dir, opt, lambda: {
+        "gen": SeededRng(task.seed + 2).uniform_signed(1.0 / np.sqrt(d), (d, d))})
+    layer = _shared_layer(params, np.array([[1.0]]))
+
+    def batch(idx):
+        fb = x_train[:, idx].T[:, :, None]
+        yb = y_train[:, idx].T[:, :, None]
+        diff = layer.forward(fb) - yb
+        grads = layer.backward(fb, 2.0 * diff / diff.size)
+        return float(np.mean(diff * diff)), {"gen": grads.d_generators[0]}
 
     report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
-    for epoch in range(start_epoch, opt.epochs):
-        perm = shuffle.permutation(n)
-        total = 0.0
-        for start in range(0, n, opt.batch_size):
-            idx = perm[start:start + opt.batch_size]
-            fb = x_train[:, idx].T[:, :, None]
-            yb = y_train[:, idx].T[:, :, None]
-            pred = layer.forward(fb)
-            diff = pred - yb
-            batch_loss = float(np.mean(diff * diff))
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", epoch, report)
-            total += batch_loss * idx.size
-            grads = layer.backward(fb, 2.0 * diff / diff.size)
-            gdict = {"gen": grads.d_generators[0]}
-            if opt.kind == "adam":
-                adam_step(params, gdict, state, opt)
-            else:
-                sgd_step(params, gdict, opt)
-        train_mse = total / n
-        test_mse = _eval_linear(layer, x_test, y_test)
-        report.loss_curve.append((epoch, train_mse, test_mse))
+    _fit(report, params, state, opt, start_epoch, x_train.shape[1], batch,
+         lambda: _eval_linear(layer, x_test, y_test))
 
     learned = params["gen"]
-    r_ls = least_squares_solve(x_train, y_train)
     eye = np.eye(d)
-    report.final_test_mse = (report.loss_curve[-1][2] if report.loss_curve
-                             else _eval_linear(layer, x_test, y_test))
     report.correlations = {
         "vs_ls_oracle": _safe_corr(learned, r_ls - eye),
         "vs_exact_rotation": _safe_corr(learned, data["rotation"] - eye),
@@ -320,30 +358,7 @@ def rotate_images(images, thetas, width, height, chunk=2048):
     out = np.empty_like(images)
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        out[sl] = _rotate_chunk(images[sl], thetas[sl], width, height)
-    return out
-
-
-def _rotate_chunk(images, thetas, width, height):
-    from .groups import image_coords
-    x, y = image_coords(width, height)
-    c = np.cos(thetas)[:, None]
-    s = np.sin(thetas)[:, None]
-    col = (c * x[None, :] - s * y[None, :]) + (width - 1) / 2.0
-    row = (s * x[None, :] + c * y[None, :]) + (height - 1) / 2.0
-    c0 = np.floor(col)
-    r0 = np.floor(row)
-    fc = col - c0
-    fr = row - r0
-    out = np.zeros_like(images)
-    rows_idx = np.arange(images.shape[0])[:, None]
-    for dr, dc, w in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                      (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        rr = r0 + dr
-        cc = c0 + dc
-        ok = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
-        src = np.where(ok, (rr * width + cc).astype(int), 0)
-        out += np.where(ok, w * images[rows_idx, src], 0.0)
+        out[sl] = _bilinear_resample(images[sl], thetas[sl], width, height)
     return out
 
 
@@ -425,52 +440,25 @@ def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     t0 = time.perf_counter()
     data = gen_angle_pairs_dataset(task)
     m, t = task.m_copies, task.recursions
+    f_train, y_train = data["f_train"], data["y_train"]
+    theta_train = data["theta_train"]
 
-    start_epoch = 0
-    if resume_dir:
-        _, params, state, start_epoch = load_train_state(resume_dir)
-        params["b1"] = params["b1"].ravel()
-        params["b2"] = params["b2"].ravel()
-        if state is None and opt.kind == "adam":
-            state = adam_init(params)
-    else:
-        params = _angle_params(task, SeededRng(task.seed + 2))
-        state = adam_init(params) if opt.kind == "adam" else None
-    layer = LConvLayer(w0=np.eye(m), eps=[params["eps"]],
-                       generators=[params["gen"]], train_w0=False)
-    shuffle = SeededRng(task.seed + 3)
+    params, state, start_epoch = _start(
+        resume_dir, opt, lambda: _angle_params(task, SeededRng(task.seed + 2)))
+    layer = _shared_layer(params, np.eye(m))
+
+    def batch(idx):
+        fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]
+        pred, stash = _angle_forward(params, layer, fb, yb, t, m)
+        return (_mse(pred, tb),
+                _angle_backward(params, layer, fb, yb, tb, pred, stash))
 
     report = TrainReport(kind="angle-regression", config=_echo(task, opt),
                          seed=task.seed)
-    f_train, y_train = data["f_train"], data["y_train"]
-    theta_train = data["theta_train"]
-    n = theta_train.size
-    for _ in range(start_epoch):
-        shuffle.permutation(n)
-    for epoch in range(start_epoch, opt.epochs):
-        perm = shuffle.permutation(n)
-        total = 0.0
-        for start in range(0, n, opt.batch_size):
-            idx = perm[start:start + opt.batch_size]
-            fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]
-            pred, stash = _angle_forward(params, layer, fb, yb, t, m)
-            batch_loss = _mse(pred, tb)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", epoch, report)
-            total += batch_loss * idx.size
-            grads = _angle_backward(params, layer, fb, yb, tb, pred, stash)
-            if opt.kind == "adam":
-                adam_step(params, grads, state, opt)
-            else:
-                sgd_step(params, grads, opt)
-        train_mse = total / n
-        test_mse = _eval_angle(params, layer, data, t, m)
-        report.loss_curve.append((epoch, train_mse, test_mse))
+    _fit(report, params, state, opt, start_epoch, theta_train.size, batch,
+         lambda: _eval_angle(params, layer, data, t, m))
 
     gt = sw_rotation_generator(task.width, task.height).dense
-    report.final_test_mse = (report.loss_curve[-1][2] if report.loss_curve
-                             else _eval_angle(params, layer, data, t, m))
     report.correlations = {
         "vs_sw_rotation_generator": _safe_corr(params["gen"], gt),
     }

@@ -60,20 +60,6 @@ class FieldTheoryTerms:
     channel_metric: list           # H[i][j] = eps^iT m2 eps^j
     v: list                        # v^i = m2 eps^i
 
-    def spatial_metric(self, fields):
-        """Full h^{alpha beta}_{ab} from generator vector fields at a point.
-
-        `fields` lists each generator's field vector there; returns an
-        array indexed [alpha, beta, a, b].
-        """
-        n_space = len(fields[0])
-        m = self.m2.shape[0]
-        h = np.zeros((n_space, n_space, m, m))
-        for i, fi in enumerate(fields):
-            for j, fj in enumerate(fields):
-                h += np.multiply.outer(np.outer(fi, fj), self.channel_metric[i][j])
-        return h
-
 
 def _eps_matrices(layer):
     m = layer.m_in

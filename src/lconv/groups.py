@@ -22,18 +22,17 @@ x + z, so the derivative advances it).
 
 2-D rotations come in two flavors: the analytic generator assembled from
 per-axis SW derivatives as X d/dy - Y d/dx, and finite rotations realized
-as bilinear-resampling matrices with zero padding, which is how the
-rotated-image datasets are produced.
+by bilinear resampling with zero padding.  One resampling kernel builds
+both the rotation matrices and the rotated-image datasets, so the two
+share their corner weights and padding; they differ only in the order a
+matrix product sums the four terms.
 """
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (DimensionError, LconvError, as_matrix, read_matrix,
-                       write_matrix)
+from .numerics import DimensionError, LconvError, as_matrix
 
 
 class UnsupportedSizeError(LconvError):
@@ -183,32 +182,32 @@ def sw_rotation_generator(width, height):
     return Generator(dense=dense, label=f"sw-rotation-generator {width}x{height}")
 
 
-def _bilinear_rows(width, height, theta):
-    """Resampling matrix: output pixel v reads the input at R(theta) v."""
-    d = width * height
+def _bilinear_resample(images, thetas, width, height):
+    """Rotate row image n by thetas[n]: output pixel v reads the input at
+    R(theta) v with bilinear weights, zero outside the grid.
+
+    The one resampler of the package: `rotation_matrix_bilinear` applies
+    it to the identity, and the rotated-image datasets to their samples.
+    """
     x, y = image_coords(width, height)
-    c, s = np.cos(theta), np.sin(theta)
-    xs = c * x - s * y
-    ys = s * x + c * y
-    col = xs + (width - 1) / 2.0
-    row = ys + (height - 1) / 2.0
-    m = np.zeros((d, d))
+    c = np.cos(thetas)[:, None]
+    s = np.sin(thetas)[:, None]
+    col = (c * x[None, :] - s * y[None, :]) + (width - 1) / 2.0
+    row = (s * x[None, :] + c * y[None, :]) + (height - 1) / 2.0
     c0 = np.floor(col)
     r0 = np.floor(row)
     fc = col - c0
     fr = row - r0
-    for dr, dc, w in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    ):
+    out = np.zeros_like(images)
+    rows_idx = np.arange(images.shape[0])[:, None]
+    for dr, dc, w in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+                      (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
         rr = r0 + dr
         cc = c0 + dc
-        ok = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width) & (w > 0)
-        src = (rr[ok] * width + cc[ok]).astype(int)
-        m[np.nonzero(ok)[0], src] += w[ok]
-    return m
+        ok = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+        src = np.where(ok, (rr * width + cc).astype(int), 0)
+        out += np.where(ok, w * images[rows_idx, src], 0.0)
+    return out
 
 
 def rotation_matrix_bilinear(width, height, theta):
@@ -220,10 +219,17 @@ def rotation_matrix_bilinear(width, height, theta):
     """
     if width < 2 or height < 2:
         raise UnsupportedSizeError("rotation needs width, height >= 2")
+    d = width * height
+
+    def resampled(angle):
+        # C order, as BLAS sums R @ X in an order that depends on layout
+        return np.ascontiguousarray(
+            _bilinear_resample(np.eye(d), np.full(d, angle), width, height).T)
+
     return GroupElement(
-        matrix=_bilinear_rows(width, height, float(theta)),
+        matrix=resampled(float(theta)),
         label=f"rot theta={float(theta):g}",
-        inverse=_bilinear_rows(width, height, -float(theta)),
+        inverse=resampled(-float(theta)),
     )
 
 
@@ -309,75 +315,3 @@ def lie_bracket(a, b):
     if ma.shape != mb.shape or ma.shape[0] != ma.shape[1]:
         raise DimensionError(f"bracket needs equal square shapes, got {ma.shape}, {mb.shape}")
     return ma @ mb - mb @ ma
-
-
-# -- serialization: matrix files plus a JSON sidecar ----------------------
-
-def _sidecar(path):
-    return os.path.splitext(path)[0] + ".json"
-
-
-def _grid_dict(grid):
-    if grid is None:
-        return None
-    return {"kind": grid.kind, "width": grid.width, "height": grid.height,
-            "periodic": grid.periodic}
-
-
-def _grid_from(d):
-    return None if d is None else GridSpec(**d)
-
-
-def save_generator(path, gen, grid=None):
-    """Generator to a .mat file (U/V pair for low rank) + JSON sidecar."""
-    meta = {"type": "generator", "label": gen.label, "grid": _grid_dict(grid)}
-    if gen.dense is not None:
-        write_matrix(path, gen.dense)
-        meta["form"] = "dense"
-    else:
-        u, v = gen.low_rank
-        base, ext = os.path.splitext(path)
-        write_matrix(base + "_U" + ext, u)
-        write_matrix(base + "_V" + ext, v)
-        meta["form"] = "low_rank"
-    with open(_sidecar(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def load_generator(path):
-    """Returns (Generator, GridSpec or None)."""
-    with open(_sidecar(path)) as fh:
-        meta = json.load(fh)
-    if meta["form"] == "dense":
-        gen = Generator(dense=read_matrix(path), label=meta["label"])
-    else:
-        base, ext = os.path.splitext(path)
-        gen = Generator(low_rank=(read_matrix(base + "_U" + ext),
-                                  read_matrix(base + "_V" + ext)),
-                        label=meta["label"])
-    return gen, _grid_from(meta["grid"])
-
-
-def save_group_element(path, elem, grid=None):
-    """GroupElement matrix (+ inverse when present) + JSON sidecar."""
-    write_matrix(path, elem.matrix)
-    meta = {"type": "group-element", "label": elem.label,
-            "grid": _grid_dict(grid), "has_inverse": elem.inverse is not None}
-    if elem.inverse is not None:
-        base, ext = os.path.splitext(path)
-        write_matrix(base + "_inv" + ext, elem.inverse)
-    with open(_sidecar(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def load_group_element(path):
-    """Returns (GroupElement, GridSpec or None)."""
-    with open(_sidecar(path)) as fh:
-        meta = json.load(fh)
-    inverse = None
-    if meta["has_inverse"]:
-        base, ext = os.path.splitext(path)
-        inverse = read_matrix(base + "_inv" + ext)
-    elem = GroupElement(matrix=read_matrix(path), label=meta["label"],
-                        inverse=inverse)
-    return elem, _grid_from(meta["grid"])

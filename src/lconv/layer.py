@@ -21,23 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Generator, GridSpec, GroupElement
+from .groups import Generator, GroupElement
 from .numerics import DimensionError, as_matrix, read_matrix, write_matrix
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    grid: GridSpec
-    values: np.ndarray  # d x m
-
-    def __post_init__(self):
-        if self.values.shape[0] != self.grid.d:
-            raise DimensionError(
-                f"feature rows {self.values.shape[0]} != grid size {self.grid.d}")
-
-    @property
-    def m(self):
-        return self.values.shape[1]
 
 
 def materialize(gen):
@@ -70,17 +55,13 @@ class LConvLayer:
     """Parameter container + forward/backward for one L-conv layer."""
 
     def __init__(self, w0, eps, generators, scalar_eps=False,
-                 include_residual=True, bias=None, train_w0=True,
-                 train_eps=True, train_generators=True):
+                 include_residual=True, bias=None):
         self.w0 = as_matrix(w0)
         self.scalar_eps = scalar_eps
         self.eps = [float(e) for e in eps] if scalar_eps else [as_matrix(e) for e in eps]
         self.generators = list(generators)
         self.include_residual = include_residual
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64).ravel()
-        self.train_w0 = train_w0
-        self.train_eps = train_eps
-        self.train_generators = train_generators
         self._check_shapes()
 
     def _check_shapes(self):
@@ -223,15 +204,6 @@ class LConvLayer:
                               d_input=d_input, d_bias=d_bias)
 
 
-def lconv_forward(fmap, layer):
-    """FeatureMap-level forward wrapper."""
-    return FeatureMap(grid=fmap.grid, values=layer.forward(fmap.values))
-
-
-def lconv_backward(fmap, layer, upstream):
-    return layer.backward(fmap.values, upstream)
-
-
 def recursive_apply(f, layer, t):
     """Apply the same shape-preserving layer t times; t = 0 returns f."""
     if layer.m_in != layer.m_out:
@@ -239,12 +211,9 @@ def recursive_apply(f, layer, t):
             f"recursive application needs m_in == m_out, got {layer.m_in} != {layer.m_out}")
     if t < 0:
         raise DimensionError("repeat count must be >= 0")
-    values = f.values if isinstance(f, FeatureMap) else f
     for _ in range(t):
-        values = layer.forward(values)
-    if isinstance(f, FeatureMap):
-        return FeatureMap(grid=f.grid, values=values)
-    return values
+        f = layer.forward(f)
+    return f
 
 
 def group_action(w, f):
@@ -262,7 +231,7 @@ def group_action(w, f):
 
 def equivariance_residual(f, w, layer):
     """|| Q[w.f] - w.Q[f] || / ||Q[f]||, zero when w commutes with the L_i."""
-    values = f.values if isinstance(f, FeatureMap) else as_matrix(f)
+    values = as_matrix(f)
     qf = layer.forward(values)
     lhs = layer.forward(group_action(w, values))
     rhs = group_action(w, qf)
@@ -281,7 +250,7 @@ def gcn_propagation_matrix(adjacency):
 def gcn_reduction_check(f, propagation, w):
     """Max-abs gap between a residual-free single-generator L-conv and the
     graph-convolution update L f W^T; algebraically zero."""
-    values = f.values if isinstance(f, FeatureMap) else as_matrix(f)
+    values = as_matrix(f)
     l = materialize(propagation)
     w = as_matrix(w)                      # m_out x m_in
     layer = LConvLayer(w0=w.T, eps=[np.eye(w.shape[1])],
@@ -320,9 +289,6 @@ def save_checkpoint(layer, directory, extra=None):
         "scalar_eps": layer.scalar_eps,
         "include_residual": layer.include_residual,
         "has_bias": layer.bias is not None,
-        "train_w0": layer.train_w0,
-        "train_eps": layer.train_eps,
-        "train_generators": layer.train_generators,
         "generators": gens,
         "extra": extra or {},
     }
@@ -356,8 +322,5 @@ def load_checkpoint(directory):
         scalar_eps=manifest["scalar_eps"],
         include_residual=manifest["include_residual"],
         bias=bias,
-        train_w0=manifest["train_w0"],
-        train_eps=manifest["train_eps"],
-        train_generators=manifest["train_generators"],
     )
     return layer, manifest

@@ -186,7 +186,7 @@ class TestCriterion04GradientCorrectness:
             def loss(p):
                 q = unpack(p)
                 layer = LConvLayer(w0=np.eye(3), eps=[q["eps"]],
-                                   generators=[q["gen"]], train_w0=False)
+                                   generators=[q["gen"]])
                 pred, _ = _angle_forward(q, layer, data["f_train"],
                                          data["y_train"], 2, 3)
                 diff = pred - data["theta_train"]
@@ -195,7 +195,7 @@ class TestCriterion04GradientCorrectness:
             p0 = np.concatenate([params[k].ravel() for k in names])
             fd = finite_difference_gradient(loss, p0, 1e-6)
             layer = LConvLayer(w0=np.eye(3), eps=[params["eps"]],
-                               generators=[params["gen"]], train_w0=False)
+                               generators=[params["gen"]])
             pred, stash = _angle_forward(params, layer, data["f_train"],
                                          data["y_train"], 2, 3)
             grads = _angle_backward(params, layer, data["f_train"],

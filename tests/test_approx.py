@@ -3,11 +3,10 @@ import pytest
 
 from lconv.approx import (approx_group_element, circular_convolve,
                           cnn_equivalence_check, fit_loglog_slope,
-                          gconv_reference, lconv_stack_for_anchor,
-                          sampled_kernel, shift_approx_sweep, shift_kernel,
-                          stack_transport)
+                          gconv_reference, sampled_kernel, shift_approx_sweep,
+                          shift_kernel)
 from lconv.groups import GroupElement, sw_shift_generator, sw_shift_matrix
-from lconv.layer import group_action
+from lconv.layer import LConvLayer, group_action, recursive_apply
 from lconv.numerics import DimensionError, SeededRng, cosine_correlation
 
 
@@ -81,18 +80,24 @@ class TestApproxGroupElement:
             assert cosine_correlation(approx, exact) > 0.999
 
 
+def stack_transport(gen, eps, n):
+    """The matrix that n W0 = I layers with scalar eps apply to f: column
+    b is the stack applied to the unit image e_b."""
+    d = gen.d
+    layer = LConvLayer(np.eye(1), [eps], [gen], scalar_eps=True)
+    return recursive_apply(np.eye(d)[:, :, None], layer, n)[:, :, 0].T
+
+
 class TestLconvStack:
     def test_identity_anchor(self):
         gen = sw_shift_generator(8)
-        layers = lconv_stack_for_anchor(gen, [0.0] * 4)
-        assert np.abs(stack_transport(layers) - np.eye(8)).max() == 0.0
+        assert np.abs(stack_transport(gen, 0.0, 4) - np.eye(8)).max() == 0.0
 
     def test_stack_equals_power_construction(self):
         gen = sw_shift_generator(12)
         n = 6
-        layers = lconv_stack_for_anchor(gen, [2.0 / n] * n)
         direct = approx_group_element(gen, 2.0, n).matrix
-        assert np.abs(stack_transport(layers) - direct).max() < 1e-12
+        assert np.abs(stack_transport(gen, 2.0 / n, n) - direct).max() < 1e-12
 
     def test_error_order_single_step_and_composed(self):
         d = 16
@@ -148,19 +153,3 @@ class TestCnnEquivalence:
         out = circular_convolve(f, [0.0, 1.0])
         assert np.array_equal(out.ravel(), np.roll(np.arange(5.0), 1))
 
-
-class TestApproxConfig:
-    def test_one_parameter_plan(self):
-        from lconv.approx import ApproxConfig
-        cfg = ApproxConfig.one_parameter(2.0, 8)
-        assert cfg.n_steps == 8
-        assert all(step == [0.25] for step in cfg.path)
-        gen = sw_shift_generator(8)
-        layers = lconv_stack_for_anchor(gen, cfg)
-        direct = approx_group_element(gen, 2.0, 8).matrix
-        assert np.abs(stack_transport(layers) - direct).max() < 1e-12
-
-    def test_step_bound_enforced(self):
-        from lconv.approx import ApproxConfig
-        with pytest.raises(DimensionError):
-            ApproxConfig(eta=0.1, n_steps=2, path=([0.05], [0.2]))

@@ -56,6 +56,15 @@ class TestGenData:
                   for f in os.listdir(tmp_path / "out")}
         assert first == second
 
+    def test_unknown_task_rejected_before_writing(self, tmp_path):
+        for command, extra in (("gen-data", {}),
+                               ("train", {"optimizer": {"lr": 0.01}})):
+            out = tmp_path / command
+            cfg = write_cfg(tmp_path / f"{command}.json",
+                            dict(extra, task="bogus", out_dir=str(out)))
+            assert run(command, "--config", cfg) == 2
+            assert not out.exists()
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "c.json",
                         {"task": "fixed-angle", "n_train": 5, "n_test": 2,
@@ -151,6 +160,13 @@ class TestApprox:
         cfg = write_cfg(tmp_path / "a.json",
                         {"d_sweep": [], "out_dir": str(tmp_path / "out")})
         assert run("approx", "--config", cfg) == 2
+
+    def test_threads_key_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path / "a.json",
+                        {"d_sweep": [8, 16], "threads": 2,
+                         "out_dir": str(tmp_path / "out")})
+        assert run("approx", "--config", cfg) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_d_sweep_one_file_per_size(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.json",

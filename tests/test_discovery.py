@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -10,7 +13,13 @@ from lconv.discovery import (AngleRegressionTask, FixedAngleTask,
                              train_fixed_angle, train_angle_regression,
                              _angle_forward, _angle_params)
 from lconv.layer import LConvLayer
-from lconv.numerics import LconvError, SeededRng, finite_difference_gradient
+from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
+                            finite_difference_gradient, read_matrix)
+
+
+def sha256(a):
+    return hashlib.sha256(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
 class TestOptimizers:
@@ -87,6 +96,25 @@ class TestFixedAngleDataset:
             direct = rotation_matrix_bilinear(7, 7, th).matrix @ imgs[i]
             assert np.abs(out[i] - direct).max() < 1e-12
 
+    def test_resampler_bits_pinned(self):
+        # SHA-256 of the resampler's output as first released; any change
+        # to its rounding, or to the rotation matrix's memory layout (BLAS
+        # sums R @ X in a layout-dependent order), changes every dataset
+        from lconv.groups import rotation_matrix_bilinear
+        r = rotation_matrix_bilinear(7, 7, np.pi / 10)
+        assert sha256(r.matrix) == (
+            "baa7a769fcc398eab8fe0e78ad6f4960fb1a1a18995214db21187172de56acf5")
+        assert sha256(r.inverse) == (
+            "de83e5217dbf893fd643e29f8ef3a77cf293dc56194503d7f41f72b4fc5f6127")
+        rng = SeededRng(31)
+        imgs = rng.uniform(64, 49)
+        thetas = rng.uniform(64, 1, low=0.0, high=np.pi / 3).ravel()
+        assert sha256(rotate_images(imgs, thetas, 7, 7)) == (
+            "683c3b1da2f26bc74953d33ef5d09b78e688c7607ca1a3301010b4c24922c195")
+        data = gen_fixed_angle_dataset(FixedAngleTask(n_train=100, n_test=20, seed=1))
+        assert sha256(data["y_train"]) == (
+            "ea13f6534f8382c7d43ccfb05b2d40c56921f5509cecedd651ac9b8e8b06c64f")
+
 
 class TestAnglePairsDataset:
     def test_zero_range_gives_identical_pairs(self):
@@ -157,6 +185,52 @@ class TestFixedAngleTraining:
         assert resumed.loss_curve == full.loss_curve[3:]
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
 
+    def test_resume_from_manifest_with_legacy_train_flags(self, tmp_path):
+        # checkpoints written before the unread train_w0/train_eps/
+        # train_generators flags were dropped still carry them
+        task = FixedAngleTask(n_train=300, n_test=60, seed=8)
+        full = train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=3))
+        ck = tmp_path / "ck"
+        train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=2),
+                          checkpoint_dir=ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest.update(train_w0=False, train_eps=False, train_generators=True)
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        resumed = train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=3),
+                                    resume_dir=ck)
+        assert resumed.loss_curve == full.loss_curve[2:]
+        assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
+
+    def test_oracle_precondition_fails_before_training(self, monkeypatch):
+        # the least-squares oracle needs n_train >= d = 49; it does not
+        # depend on training, so the run must stop before the first step
+        calls = []
+        forward = LConvLayer.forward
+        monkeypatch.setattr(LConvLayer, "forward",
+                            lambda self, f: calls.append(1) or forward(self, f))
+        task = FixedAngleTask(n_train=20, n_test=10, seed=1)
+        with pytest.raises(DegenerateInputError):
+            train_fixed_angle(task, OptimizerConfig(epochs=2))
+        assert calls == []
+
+
+class TestTrainedGeneratorReachesLayer:
+    # the optimizers update params["gen"] in place; the layer that is
+    # trained and checkpointed must hold that very array, not a copy
+    @pytest.mark.parametrize("train, task, init", [
+        (train_fixed_angle, FixedAngleTask(n_train=200, n_test=50, seed=3),
+         lambda task: SeededRng(task.seed + 2).uniform_signed(
+             1.0 / np.sqrt(task.d), (task.d, task.d))),
+        (train_angle_regression, AngleRegressionTask(n_train=48, n_test=16, seed=3),
+         lambda task: _angle_params(task, SeededRng(task.seed + 2))["gen"]),
+    ], ids=["fixed-angle", "angle-regression"])
+    def test_checkpoint_holds_trained_generator(self, tmp_path, train, task, init):
+        rep = train(task, OptimizerConfig(lr=1e-3, batch_size=16, epochs=1),
+                    checkpoint_dir=tmp_path)
+        saved = read_matrix(tmp_path / "gen_0.mat")
+        assert np.array_equal(saved, rep.arrays["generator"])
+        assert not np.array_equal(saved, init(task))
+
 
 class TestAngleRegressionPieces:
     def test_head_and_recursion_gradients_match_fd(self):
@@ -180,8 +254,7 @@ class TestAngleRegressionPieces:
 
         def loss(p):
             q = unpack(p)
-            layer = LConvLayer(w0=np.eye(3), eps=[q["eps"]], generators=[q["gen"]],
-                               train_w0=False)
+            layer = LConvLayer(w0=np.eye(3), eps=[q["eps"]], generators=[q["gen"]])
             pred, _ = _angle_forward(q, layer, data["f_train"], data["y_train"],
                                      task.recursions, task.m_copies)
             diff = pred - data["theta_train"]
@@ -191,7 +264,7 @@ class TestAngleRegressionPieces:
         fd = finite_difference_gradient(loss, p0, 1e-6)
         from lconv.discovery import _angle_backward
         layer = LConvLayer(w0=np.eye(3), eps=[params["eps"]],
-                           generators=[params["gen"]], train_w0=False)
+                           generators=[params["gen"]])
         pred, stash = _angle_forward(params, layer, data["f_train"],
                                      data["y_train"], task.recursions,
                                      task.m_copies)
@@ -209,7 +282,7 @@ class TestAngleRegressionPieces:
         data = gen_angle_pairs_dataset(task)
         params = _angle_params(task, SeededRng(7))
         layer = LConvLayer(w0=np.eye(10), eps=[params["eps"]],
-                           generators=[params["gen"]], train_w0=False)
+                           generators=[params["gen"]])
         pred, _ = _angle_forward(params, layer, data["f_test"], data["y_test"],
                                  task.recursions, task.m_copies)
         base = float(np.mean((pred - data["theta_test"]) ** 2))
@@ -245,7 +318,7 @@ class TestTrainStateIO:
                   "v1": rng.uniform(2, 3), "b1": np.zeros(3),
                   "v2": rng.uniform(3, 1), "b2": np.zeros(1)}
         layer = LConvLayer(w0=np.eye(2), eps=[params["eps"]],
-                           generators=[params["gen"]], train_w0=False)
+                           generators=[params["gen"]])
         state = adam_init(params)
         state["t"] = 17
         state["m"]["gen"] += 0.5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lconv.groups import (EdgeTopology, GridSpec, UnsupportedSizeError,
+from lconv.groups import (EdgeTopology, UnsupportedSizeError,
                           analytic_generator, assemble_generator_from_edges,
                           image_coords, lie_bracket, rotation_matrix_bilinear,
                           sw_rotation_generator, sw_shift_generator,
@@ -251,34 +251,3 @@ class TestLieBracket:
         a, b = rng.uniform(4, 4), rng.uniform(4, 4)
         assert np.abs(lie_bracket(a, b) + lie_bracket(b, a)).max() < 1e-14
 
-
-class TestSerialization:
-    def test_generator_roundtrip_with_sidecar(self, tmp_path):
-        from lconv.groups import load_generator, save_generator
-        gen = sw_shift_generator(8)
-        grid = GridSpec("line", 8)
-        save_generator(tmp_path / "g.mat", gen, grid=grid)
-        back, grid2 = load_generator(tmp_path / "g.mat")
-        assert np.array_equal(back.dense, gen.dense)
-        assert back.label == gen.label
-        assert grid2 == grid
-
-    def test_low_rank_generator_roundtrip(self, tmp_path):
-        from lconv.groups import Generator, load_generator, save_generator
-        rng = SeededRng(70)
-        gen = Generator(low_rank=(rng.uniform(6, 2), rng.uniform(2, 6)), label="lr")
-        save_generator(tmp_path / "lr.mat", gen)
-        back, grid = load_generator(tmp_path / "lr.mat")
-        assert grid is None
-        assert np.array_equal(back.low_rank[0], gen.low_rank[0])
-        assert np.array_equal(back.low_rank[1], gen.low_rank[1])
-
-    def test_group_element_roundtrip(self, tmp_path):
-        from lconv.groups import load_group_element, save_group_element
-        elem = sw_shift_matrix(8, 1.5)
-        save_group_element(tmp_path / "e.mat", elem, grid=GridSpec("line", 8))
-        back, grid = load_group_element(tmp_path / "e.mat")
-        assert np.array_equal(back.matrix, elem.matrix)
-        assert np.array_equal(back.inverse, elem.inverse)
-        assert back.label == elem.label
-        assert grid.d == 8

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from lconv.groups import Generator, GridSpec, sw_shift_generator, sw_shift_matrix
-from lconv.layer import (FeatureMap, LConvLayer, equivariance_residual,
+from lconv.groups import Generator, sw_shift_generator, sw_shift_matrix
+from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
-                         group_action, lconv_forward, load_checkpoint,
-                         materialize, recursive_apply, save_checkpoint)
+                         group_action, load_checkpoint, materialize,
+                         recursive_apply, save_checkpoint)
 from lconv.numerics import DimensionError, SeededRng, finite_difference_gradient
 
 
@@ -140,11 +140,9 @@ class TestRecursive:
     def test_zero_and_one_applications(self):
         rng = SeededRng(27)
         layer = random_layer(rng, 5, 2, 2)
-        grid = GridSpec("line", 5)
-        f = FeatureMap(grid, rng.uniform(5, 2))
-        assert np.array_equal(recursive_apply(f, layer, 0).values, f.values)
-        assert np.array_equal(recursive_apply(f, layer, 1).values,
-                              lconv_forward(f, layer).values)
+        f = rng.uniform(5, 2)
+        assert np.array_equal(recursive_apply(f, layer, 0), f)
+        assert np.array_equal(recursive_apply(f, layer, 1), layer.forward(f))
 
     def test_matches_matrix_power_for_scalar_eps(self):
         rng = SeededRng(28)
