@@ -35,14 +35,14 @@ bit for bit.
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .groups import (_bilinear_resample, rotation_matrix_bilinear,
                      sw_rotation_generator)
 from .layer import LConvLayer, load_checkpoint, materialize, save_checkpoint
-from .numerics import (LconvError, SeededRng, cosine_correlation,
+from .numerics import (LconvError, SeededRng, check_value, cosine_correlation,
                        least_squares_solve, read_matrix, write_matrix)
 
 
@@ -51,10 +51,15 @@ class NonFiniteGradientError(LconvError):
 
 
 class TrainingDivergedError(LconvError):
-    def __init__(self, message, last_epoch, report=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
-        self.last_epoch = last_epoch
         self.report = report
+
+
+def _check_fields(obj, **low):
+    """Each field of dataclass `obj` holds its type and is at least low[name]."""
+    for f in fields(obj):
+        check_value(f.name, getattr(obj, f.name), f.type, low.get(f.name))
 
 
 @dataclass
@@ -68,12 +73,11 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise LconvError(f"learning rate must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise LconvError("batch size must be >= 1")
+        _check_fields(self, batch_size=1, epochs=0, beta1=0, beta2=0)
         if self.kind not in ("adam", "sgd"):
             raise LconvError(f"unknown optimizer kind {self.kind!r}")
+        if not (self.lr > 0 and self.eps > 0 and self.beta1 < 1 and self.beta2 < 1):
+            raise LconvError(f"need lr, eps > 0 and beta1, beta2 < 1, got {self}")
 
 
 def _check_grads(grads):
@@ -124,6 +128,9 @@ class FixedAngleTask:
     n_test: int = 10000
     seed: int = 0
 
+    def __post_init__(self):
+        _check_fields(self, width=2, height=2, n_train=1, n_test=1)
+
     @property
     def d(self):
         return self.width * self.height
@@ -140,6 +147,11 @@ class AngleRegressionTask:
     n_train: int = 12000
     n_test: int = 2000
     seed: int = 0
+    MODEL_FIELDS = ("m_copies", "recursions", "hidden")  # unread by the dataset
+
+    def __post_init__(self):
+        _check_fields(self, width=2, height=2, m_copies=1, recursions=1,
+                      hidden=1, n_train=1, n_test=1)
 
     @property
     def d(self):
@@ -171,8 +183,6 @@ def gen_fixed_angle_dataset(task):
     out = {}
     for split, seed, n in (("train", task.seed, task.n_train),
                            ("test", task.seed + 1, task.n_test)):
-        if n < 1:
-            raise LconvError(f"{split} split needs at least one sample")
         x = SeededRng(seed).uniform(task.d, n)
         out[f"x_{split}"] = x
         out[f"y_{split}"] = r @ x
@@ -283,7 +293,7 @@ def _fit(report, params, state, opt, start_epoch, n, batch, evaluate):
             batch_loss, grads = batch(idx)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", epoch, report)
+                    f"loss became non-finite at epoch {epoch}", report)
             total += batch_loss * idx.size
             if opt.kind == "adam":
                 adam_step(params, grads, state, opt)
@@ -300,11 +310,12 @@ def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     Minimizes mean ||(I + L) f - R f||^2 over the training set with the
     residual path frozen (W0 = 1, eps = 1).  Reports the cosine
     correlation of the learned L against the least-squares oracle
-    R_ls - I and against the exact R - I.  The oracle is solved before
-    training, so a training split it cannot use (fewer samples than
-    pixels) fails before the first epoch.
+    R_ls - I and against the exact R - I.  Both references are built
+    before training, so a grid side below 3 or a training split the
+    oracle cannot use (fewer samples than pixels) fails at once.
     """
     t0 = time.perf_counter()
+    gt = sw_rotation_generator(task.width, task.height).dense
     data = gen_fixed_angle_dataset(task)
     x_train, y_train = data["x_train"], data["y_train"]
     x_test, y_test = data["x_test"], data["y_test"]
@@ -331,8 +342,7 @@ def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     report.correlations = {
         "vs_ls_oracle": _safe_corr(learned, r_ls - eye),
         "vs_exact_rotation": _safe_corr(learned, data["rotation"] - eye),
-        "vs_sw_rotation_generator": _safe_corr(
-            learned, sw_rotation_generator(task.width, task.height).dense),
+        "vs_sw_rotation_generator": _safe_corr(learned, gt),
     }
     report.arrays = {"generator": learned.copy(), "ls_rotation": r_ls}
     if checkpoint_dir:
@@ -367,8 +377,6 @@ def gen_angle_pairs_dataset(task):
     out = {}
     for split, seed, n in (("train", task.seed, task.n_train),
                            ("test", task.seed + 1, task.n_test)):
-        if n < 1:
-            raise LconvError(f"{split} split needs at least one sample")
         rng = SeededRng(seed)
         f = rng.uniform(n, task.d)
         theta = rng.uniform(n, 1, low=0.0, high=task.theta_max).ravel()
@@ -438,6 +446,7 @@ _HEAD_NAMES = ("v1", "b1", "v2", "b2")
 def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
     t0 = time.perf_counter()
+    gt = sw_rotation_generator(task.width, task.height).dense
     data = gen_angle_pairs_dataset(task)
     m, t = task.m_copies, task.recursions
     f_train, y_train = data["f_train"], data["y_train"]
@@ -458,7 +467,6 @@ def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     _fit(report, params, state, opt, start_epoch, theta_train.size, batch,
          lambda: _eval_angle(params, layer, data, t, m))
 
-    gt = sw_rotation_generator(task.width, task.height).dense
     report.correlations = {
         "vs_sw_rotation_generator": _safe_corr(params["gen"], gt),
     }

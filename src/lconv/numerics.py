@@ -8,6 +8,7 @@ gradient checker, a seeded RNG with a fixed bit-exact output convention,
 and a tiny binary matrix file format ("LCONVMAT") for artifacts.
 """
 
+import numbers
 import struct
 
 import numpy as np
@@ -56,6 +57,19 @@ def check_finite(m, what="matrix"):
     if not np.all(np.isfinite(m)):
         raise DegenerateInputError(f"{what} contains NaN or Inf entries")
     return m
+
+
+def check_value(name, value, kind, low=None):
+    """`value` if it is a `kind` no smaller than `low`: an int is any integral
+    number, a float any finite real one (unconverted), and a bool neither."""
+    abc = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if (not isinstance(value, abc) or isinstance(value, bool)
+            or kind is float and not abs(value) < float("inf")):
+        raise DegenerateInputError(
+            f"{name} must be {'a finite ' * (kind is float)}{kind.__name__}, got {value!r}")
+    if low is not None and value < low:
+        raise DegenerateInputError(f"{name} must be at least {low}, got {value!r}")
+    return value
 
 
 def frobenius(a):

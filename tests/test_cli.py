@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from lconv.cli import main
 from lconv.numerics import read_matrix
 
@@ -75,6 +77,67 @@ class TestGenData:
         assert not (tmp_path / "ignored").exists()
 
 
+OPT = {"lr": 0.01, "batch_size": 20, "epochs": 1}
+FIXED = {"task": "fixed-angle", "n_train": 60, "n_test": 10}
+ANGLE = {"task": "angle-regression", "n_train": 20, "n_test": 5, "optimizer": OPT}
+
+
+# keys each command (and task kind or check) accepted but never read
+@pytest.mark.parametrize("command, cfg", [
+    ("gen-data", dict(FIXED, theta_max=1.0)),
+    ("gen-data", {"task": "angle-pairs", "theta": 0.3}),
+    ("train", dict(FIXED, optimizer=OPT, theta_max=1.0)),
+    ("train", dict(FIXED, optimizer=OPT, m_copies=2)),
+    ("train", dict(FIXED, optimizer=OPT, recursions=2)),
+    ("train", dict(FIXED, optimizer=OPT, hidden=2)),
+    ("train", dict(ANGLE, theta=0.3)),
+    ("eval", {"checkpoint": "ck", "data_dir": "data", "seed": 1}),
+    ("approx", {"d": 8, "seed": 1}),
+    ("theory", {"check": "helmholtz", "grid_size": 8}),
+    ("theory", {"check": "helmholtz", "channels": 2}),
+    ("theory", {"check": "helmholtz", "instances": 2}),
+    ("theory", {"check": "decomposition", "sizes": [8]}),
+    ("theory", {"check": "decomposition", "eps_scale": 1.0}),
+])
+def test_unread_key_rejected(tmp_path, command, cfg):
+    path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+    assert run(command, "--config", path) == 2
+    assert not (tmp_path / "out").exists()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("gen-data", dict(FIXED, n_train="10")),
+    ("gen-data", dict(FIXED, n_train=10.5)),
+    ("gen-data", dict(FIXED, width=1)),
+    ("gen-data", dict(FIXED, theta=NAN)),
+    ("gen-data", {"task": ["fixed-angle"]}),
+    ("train", dict(ANGLE, recursions=-1)),
+    ("train", dict(FIXED, optimizer=[1])),
+    ("train", dict(FIXED, optimizer={"epochs": "1"})),
+    ("train", dict(FIXED, optimizer={"lr": NAN})),
+    ("train", dict(FIXED, optimizer=OPT, resume=5)),
+    ("approx", {"d": 7}),
+    ("approx", {"d": "abc"}),
+    ("approx", {"d_sweep": [16], "n_values": [0]}),
+    ("approx", {"d": 8, "d_sweep": [16]}),
+    ("approx", {"d": 8, "z": NAN}),
+    ("theory", {"check": "decomposition", "grid_size": 7}),
+    ("theory", {"check": "decomposition", "channels": 0}),
+    ("theory", {"check": "decomposition", "instances": 1.5}),
+    ("theory", {"check": "helmholtz", "sizes": [2]}),
+    ("theory", {"check": "helmholtz", "eps_scale": 0}),
+    ("theory", {"check": "helmholtz", "seed": "1"}),
+    ("theory", {"check": "bogus"}),
+])
+def test_bad_value_rejected_before_writing(tmp_path, command, cfg):
+    path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+    assert run(command, "--config", path) == 2
+    assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def _train_cfg(self, tmp_path, out, epochs=2, extra=None):
         cfg = {"task": "fixed-angle", "n_train": 400, "n_test": 80, "seed": 2,
@@ -93,6 +156,14 @@ class TestTrain:
         assert "wall_clock_sec" not in report     # timings live in timing.json
         assert (tmp_path / "run" / "loss.csv").exists()
         assert (tmp_path / "run" / "generator.mat").exists()
+
+    @pytest.mark.parametrize("cfg", [dict(FIXED, n_train=20, optimizer=OPT),
+                                     dict(ANGLE, width=2)],
+                             ids=["oracle-needs-d-samples", "generator-needs-side-3"])
+    def test_preconditions_rejected_before_writing(self, tmp_path, cfg):
+        path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+        assert run("train", "--config", path) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_negative_lr_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path / "bad.json",
@@ -142,6 +213,30 @@ class TestEval:
         assert run("eval", "--config", eval_cfg) == 0
         result = json.load(open(tmp_path / "evalout" / "eval.json"))
         assert result["test_mse"] >= 0.0
+        # --seed, like the seed key, is not read by eval
+        assert run("eval", "--config", eval_cfg, "--seed", "1") == 2
+
+    def test_angle_checkpoint_rejected(self, tmp_path):
+        for command, out, cfg in (
+                ("gen-data", "data", {"task": "angle-pairs", "n_train": 40, "n_test": 8}),
+                ("train", "run", dict(ANGLE, n_train=40))):
+            path = write_cfg(tmp_path / f"{out}.json",
+                             dict(cfg, out_dir=str(tmp_path / out)))
+            assert run(command, "--config", path) == 0
+        eval_cfg = write_cfg(tmp_path / "e.json",
+                             {"checkpoint": str(tmp_path / "run" / "checkpoint"),
+                              "data_dir": str(tmp_path / "data"),
+                              "out_dir": str(tmp_path / "evalout")})
+        assert run("eval", "--config", eval_cfg) == 2
+        assert not (tmp_path / "evalout").exists()
+
+    def test_missing_checkpoint_writes_nothing(self, tmp_path):
+        eval_cfg = write_cfg(tmp_path / "e.json",
+                             {"checkpoint": str(tmp_path / "nope"),
+                              "data_dir": str(tmp_path / "data"),
+                              "out_dir": str(tmp_path / "evalout")})
+        assert run("eval", "--config", eval_cfg) == 4
+        assert not (tmp_path / "evalout").exists()
 
 
 class TestApprox:
@@ -160,6 +255,7 @@ class TestApprox:
         cfg = write_cfg(tmp_path / "a.json",
                         {"d_sweep": [], "out_dir": str(tmp_path / "out")})
         assert run("approx", "--config", cfg) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_threads_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.json",
@@ -202,6 +298,7 @@ class TestTheory:
                         {"check": "helmholtz", "group": "so3",
                          "out_dir": str(tmp_path / "out")})
         assert run("theory", "--config", cfg) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestVersion:

@@ -12,6 +12,7 @@ from lconv.discovery import (AngleRegressionTask, FixedAngleTask,
                              rotate_images, save_train_state, sgd_step,
                              train_fixed_angle, train_angle_regression,
                              _angle_forward, _angle_params)
+from lconv.groups import UnsupportedSizeError
 from lconv.layer import LConvLayer
 from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
                             finite_difference_gradient, read_matrix)
@@ -59,6 +60,30 @@ class TestOptimizers:
             OptimizerConfig(batch_size=0)
         with pytest.raises(LconvError):
             OptimizerConfig(kind="rmsprop")
+        for bad in ({"lr": float("nan")}, {"eps": 0.0}, {"epochs": -1},
+                    {"epochs": 1.0}, {"batch_size": True}, {"beta1": 1.0},
+                    {"beta2": -0.1}, {"kind": 1}):
+            with pytest.raises(LconvError):
+                OptimizerConfig(**bad)
+        assert OptimizerConfig(lr=1, beta1=0, epochs=np.int64(0)).lr == 1
+
+
+class TestTaskValidation:
+    @pytest.mark.parametrize("cls, angle", [(FixedAngleTask, "theta"),
+                                            (AngleRegressionTask, "theta_max")])
+    def test_fields_typed_and_bounded(self, cls, angle):
+        for bad in ({"n_train": 0}, {"n_test": "10"}, {"width": 1},
+                    {"height": 7.0}, {"seed": True}, {angle: float("nan")},
+                    {angle: "0.3"}):
+            with pytest.raises(LconvError):
+                cls(**bad)
+        task = cls(**{angle: 1, "seed": -3})    # values pass unconverted
+        assert getattr(task, angle) == 1 and type(getattr(task, angle)) is int
+
+    def test_model_fields_bounded(self):
+        for bad in ({"m_copies": 0}, {"recursions": -1}, {"hidden": 0}):
+            with pytest.raises(LconvError):
+                AngleRegressionTask(**bad)
 
 
 class TestFixedAngleDataset:
@@ -202,8 +227,9 @@ class TestFixedAngleTraining:
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
 
     def test_oracle_precondition_fails_before_training(self, monkeypatch):
-        # the least-squares oracle needs n_train >= d = 49; it does not
-        # depend on training, so the run must stop before the first step
+        # the least-squares oracle needs n_train >= d = 49, and the
+        # reference rotation generator both sides >= 3; neither depends on
+        # training, so the run must stop before the first step
         calls = []
         forward = LConvLayer.forward
         monkeypatch.setattr(LConvLayer, "forward",
@@ -211,6 +237,9 @@ class TestFixedAngleTraining:
         task = FixedAngleTask(n_train=20, n_test=10, seed=1)
         with pytest.raises(DegenerateInputError):
             train_fixed_angle(task, OptimizerConfig(epochs=2))
+        task = AngleRegressionTask(width=2, n_train=20, n_test=10, seed=1)
+        with pytest.raises(UnsupportedSizeError):
+            train_angle_regression(task, OptimizerConfig(epochs=2))
         assert calls == []
 
 
