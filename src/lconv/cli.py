@@ -28,8 +28,8 @@ from . import __version__
 from .approx import shift_approx_sweep
 from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
                         TrainingDivergedError, gen_angle_pairs_dataset,
-                        gen_fixed_angle_dataset, train_angle_regression,
-                        train_fixed_angle)
+                        gen_fixed_angle_dataset, load_resume,
+                        train_angle_regression, train_fixed_angle)
 from .fieldtheory import (FieldSample, FieldTheoryTerms, field_terms,
                           helmholtz_convergence, mse_loss_decomposed,
                           mse_loss_direct)
@@ -183,6 +183,9 @@ def cmd_train(cfg, args):
         raise ConfigError("the reference rotation generator needs width, height >= 3")
     if fixed and task.n_train < task.d:
         raise ConfigError(f"the least-squares oracle needs n_train >= d = {task.d}")
+    if "resume" in cfg:
+        with _config_errors():
+            load_resume(task, cfg["resume"])
     out_dir = _echo_run("train", dict(cfg, seed=task.seed))
     train = train_fixed_angle if fixed else train_angle_regression
     try:

@@ -87,28 +87,44 @@ def _check_grads(grads):
                 f"non-finite gradient for parameter {name!r}; update rejected")
 
 
-def adam_init(params):
-    return {"t": 0,
-            "m": {k: np.zeros_like(v) for k, v in params.items()},
-            "v": {k: np.zeros_like(v) for k, v in params.items()}}
+def adam_init(params, moments=None):
+    """Adam state for `params`, which move with both moments into one
+    contiguous float64 buffer: afterwards params[k], state["m"][k] and
+    state["v"][k] are views into it, so a step updates every parameter
+    with one call per operation.  Arrays that held the parameters before
+    no longer see the updates.  The moments start at zero, or at those of
+    `moments`, a state as `load_train_state` returns it."""
+    names = list(params)
+    flat = np.zeros((3, sum(np.size(params[k]) for k in names)))
+    state = {"t": moments["t"] if moments else 0, "m": {}, "v": {}, "flat": flat}
+    start = 0
+    for k in names:
+        shape, size = np.shape(params[k]), np.size(params[k])
+        p, m, v = flat[:, start:start + size].reshape(3, *shape)
+        p[...] = params[k]
+        if moments:
+            m[...] = moments["m"][k]
+            v[...] = moments["v"][k]
+        params[k], state["m"][k], state["v"][k] = p, m, v
+        start += size
+    return state
 
 
 def adam_step(params, grads, state, cfg):
-    """Standard bias-corrected Adam update, in place."""
-    _check_grads(grads)
+    """Standard bias-corrected Adam update, in place, of the parameters
+    `adam_init` moved into its buffer; `grads` has one entry per parameter."""
+    g = np.concatenate([np.ravel(grads[k]) for k in state["m"]])
+    if not np.isfinite(g).all():
+        _check_grads(grads)
     state["t"] += 1
     t = state["t"]
     b1, b2 = cfg.beta1, cfg.beta2
-    for k, g in grads.items():
-        m = state["m"][k]
-        v = state["v"][k]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        params[k] -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    p, m, v = state["flat"]
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    p -= cfg.lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + cfg.eps)
     return params, state
 
 
@@ -247,15 +263,35 @@ def load_train_state(directory):
     return layer, params, state, extra["epoch"]
 
 
-def _start(resume_dir, opt, fresh):
-    """(params, optimizer state, first epoch): `fresh()` parameters at
-    epoch 0, or a checkpoint's; Adam moments start at zero when absent."""
+def _init_params(task):
+    """The trained parameters at epoch 0, drawn from the task seed + 2 stream."""
+    rng = SeededRng(task.seed + 2)
+    if isinstance(task, FixedAngleTask):
+        return {"gen": rng.uniform_signed(1.0 / np.sqrt(task.d), (task.d, task.d))}
+    return _angle_params(task, rng)
+
+
+def load_resume(task, directory):
+    """`load_train_state(directory)`, checked to hold the parameters
+    `task`'s model trains, by name and shape; raises LconvError if not."""
+    loaded = load_train_state(directory)
+    got = {k: np.shape(v) for k, v in loaded[1].items()}
+    want = {k: np.shape(v) for k, v in _init_params(task).items()}
+    if got != want:
+        raise LconvError(f"checkpoint {directory} holds parameters {got}, "
+                         f"the task trains {want}")
+    return loaded
+
+
+def _start(task, resume_dir, opt):
+    """(params, optimizer state, first epoch): fresh parameters at epoch 0,
+    or a checkpoint's; Adam moments start at zero when absent."""
     if resume_dir:
-        _, params, state, start_epoch = load_train_state(resume_dir)
+        _, params, state, start_epoch = load_resume(task, resume_dir)
     else:
-        params, state, start_epoch = fresh(), None, 0
-    if state is None and opt.kind == "adam":
-        state = adam_init(params)
+        params, state, start_epoch = _init_params(task), None, 0
+    if opt.kind == "adam":
+        state = adam_init(params, state)
     return params, state, start_epoch
 
 
@@ -322,15 +358,15 @@ def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     d = task.d
     r_ls = least_squares_solve(x_train, y_train)
 
-    params, state, start_epoch = _start(resume_dir, opt, lambda: {
-        "gen": SeededRng(task.seed + 2).uniform_signed(1.0 / np.sqrt(d), (d, d))})
+    params, state, start_epoch = _start(task, resume_dir, opt)
     layer = _shared_layer(params, np.array([[1.0]]))
 
     def batch(idx):
         fb = x_train[:, idx].T[:, :, None]
         yb = y_train[:, idx].T[:, :, None]
-        diff = layer.forward(fb) - yb
-        grads = layer.backward(fb, 2.0 * diff / diff.size)
+        lf = []
+        diff = layer.forward(fb, lf) - yb
+        grads = layer.backward(fb, 2.0 * diff / diff.size, lf=lf)
         return float(np.mean(diff * diff)), {"gen": grads.d_generators[0]}
 
     report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
@@ -403,22 +439,29 @@ def _angle_params(task, rng):
     }
 
 
-def _angle_forward(params, layer, f, y, t, m):
-    """Returns (prediction, stash for backward)."""
+def _angle_forward(params, layer, f, y, t, m, tape=None):
+    """Returns (prediction, stash for `_angle_backward`).
+
+    Pass an empty list as `tape` to record what the backward pass needs:
+    each recursion's input h with the products L h the layer computed.
+    Without a tape (evaluation) nothing is kept.
+    """
     h = np.repeat(f[:, :, None], m, axis=2)
-    hs = [h]
     for _ in range(t):
-        h = layer.forward(h)
-        hs.append(h)
+        lf = None
+        if tape is not None:
+            lf = []
+            tape.append((h, lf))
+        h = layer.forward(h, lf)
     g_pre = np.einsum("bd,bdm->bm", y, h)
     g = np.tanh(g_pre)
     a1 = np.tanh(g @ params["v1"] + params["b1"])
     pred = (a1 @ params["v2"] + params["b2"]).ravel()
-    return pred, (hs, g, a1)
+    return pred, (tape, g, a1)
 
 
-def _angle_backward(params, layer, f, y, theta, pred, stash):
-    hs, g, a1 = stash
+def _angle_backward(params, layer, y, theta, pred, stash):
+    tape, g, a1 = stash
     n = theta.size
     dpred = (2.0 / n) * (pred - theta)
     dv2 = a1.T @ dpred[:, None]
@@ -431,8 +474,8 @@ def _angle_backward(params, layer, f, y, theta, pred, stash):
     dh = y[:, :, None] * dg[:, None, :]
     d_eps = np.zeros_like(params["eps"])
     d_gen = np.zeros_like(params["gen"])
-    for k in range(len(hs) - 2, -1, -1):
-        grads = layer.backward(hs[k], dh)
+    for h, lf in reversed(tape):
+        grads = layer.backward(h, dh, lf=lf)
         d_eps += grads.d_eps[0]
         d_gen += grads.d_generators[0]
         dh = grads.d_input
@@ -452,15 +495,13 @@ def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     f_train, y_train = data["f_train"], data["y_train"]
     theta_train = data["theta_train"]
 
-    params, state, start_epoch = _start(
-        resume_dir, opt, lambda: _angle_params(task, SeededRng(task.seed + 2)))
+    params, state, start_epoch = _start(task, resume_dir, opt)
     layer = _shared_layer(params, np.eye(m))
 
     def batch(idx):
         fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]
-        pred, stash = _angle_forward(params, layer, fb, yb, t, m)
-        return (_mse(pred, tb),
-                _angle_backward(params, layer, fb, yb, tb, pred, stash))
+        pred, stash = _angle_forward(params, layer, fb, yb, t, m, tape=[])
+        return _mse(pred, tb), _angle_backward(params, layer, yb, tb, pred, stash)
 
     report = TrainReport(kind="angle-regression", config=_echo(task, opt),
                          seed=task.seed)

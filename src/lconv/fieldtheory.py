@@ -152,6 +152,15 @@ def _check_translation(group):
             f"only, got {group!r}")
 
 
+def _check_points(phi, need, who):
+    """phi as a matrix of at least `need` grid points (rows)."""
+    phi = as_matrix(phi)
+    if phi.shape[0] < need:
+        raise DimensionError(
+            f"{who} needs at least {need} grid points, got {phi.shape[0]}")
+    return phi
+
+
 def _central_first(phi, dx):
     return (phi[2:] - phi[:-2]) / (2.0 * dx)
 
@@ -165,9 +174,10 @@ def el_residual(phi, dx, terms, group="translation"):
 
     phi is (n, m) on a uniform non-periodic 1-D grid with spacing dx; for
     fields solving the Helmholtz equation the residual decays as O(dx^2).
+    It needs an interior point, so n >= 3.
     """
     _check_translation(group)
-    phi = as_matrix(phi)
+    phi = _check_points(phi, 3, "el_residual")
     h = terms.channel_metric[0][0]
     return phi[1:-1] @ terms.m2.T - _central_second(phi, dx) @ h.T
 
@@ -178,9 +188,10 @@ def noether_divergence(phi, dx, terms, group="translation"):
     J is the conserved current of the translation symmetry; on
     Euler-Lagrange solutions it is constant, so the discrete divergence
     measures distance from stationarity plus O(dx^2) discretization.
+    Differencing J, itself built from differences, needs n >= 5 points.
     """
     _check_translation(group)
-    phi = as_matrix(phi)
+    phi = _check_points(phi, 5, "noether_divergence")
     dphi = _central_first(phi, dx)
     h = terms.channel_metric[0][0]
     current = (np.sum((dphi @ h.T) * dphi, axis=1)
@@ -199,7 +210,11 @@ def helmholtz_field(n_points, eps_scale, half_width=1.0):
 
 
 def helmholtz_convergence(sizes, eps_scale, terms):
-    """Rows (n, el_residual_max, noether_divergence) over grid refinements."""
+    """Rows (n, el_residual_max, noether_divergence) over grid refinements
+    of n >= 5 points each."""
+    if any(n < 5 for n in sizes):
+        raise DimensionError(f"helmholtz_convergence needs grids of at least "
+                             f"5 points, got sizes {list(sizes)}")
     rows = []
     for n in sizes:
         dx, phi = helmholtz_field(n, eps_scale)

@@ -11,13 +11,35 @@ with eps^i mixing input channels before W0.  Everything is linear in f,
 so gradients are exact matrix products; `backward` implements them by
 hand and is validated against central differences in the tests.
 
+Each product is computed once, and only when its result is read:
+
+- Stashed L f.  `forward(f, lf)` appends the products L_i f to the list
+  `lf`; `backward(f, upstream, lf=lf)` for that same f and the same
+  generators uses them instead of recomputing them.  The stash is the
+  caller's list, not layer state: a caller that keeps none (evaluation)
+  holds no extra memory, and backward without `lf` recomputes.
+- W0 = I.  When W0 is the identity (checked from `w0` itself on every
+  call, so assigning or mutating it takes effect at once), the products
+  f W0, (eps^i)^T W0 and upstream W0^T are skipped.  For finite inputs
+  they return their other operand exactly (except that a -0.0 entry
+  comes back +0.0), so the results keep their bits.  What stands in for
+  a product is C-ordered, as the product was, because BLAS and numpy
+  reductions round by the layout of their operands: (eps^i)^T is passed
+  as a C-ordered copy, f and upstream are copied when not C-ordered,
+  and a scalar eps^i times L_i f is written in C order.
+- Lazy dW0.  `LayerGradients.dW0` and the sum A = f + sum_i (L_i f)
+  (eps^i)^T it needs are computed on first read; training with W0
+  frozen never pays for them.
+
 An optional channel-wise affine + tanh head can follow the map; acting on
 channels only, it does not disturb equivariance.
 """
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -42,13 +64,27 @@ def _left_apply(m, f):
     return np.tensordot(m, f, axes=([1], [1])).transpose(1, 0, 2)
 
 
+def _is_identity(w0):
+    """True when the square matrix w0 is exactly I: n nonzeros, all on a
+    diagonal of ones."""
+    n = w0.shape[0]
+    return (w0.shape[1] == n and np.count_nonzero(w0) == n
+            and np.count_nonzero(w0.diagonal() == 1.0) == n)
+
+
 @dataclass
 class LayerGradients:
-    dW0: np.ndarray
     d_eps: list
     d_generators: list   # dense arrays, or (dU, dV) pairs for low-rank
     d_input: np.ndarray
-    d_bias: np.ndarray | None = None
+    d_bias: np.ndarray | None
+    _dw0: Callable = field(repr=False)
+
+    @cached_property
+    def dW0(self):
+        """Gradient w.r.t. W0, computed on first read from what `backward`
+        was given (eps as it was then; f and upstream must be unchanged)."""
+        return self._dw0()
 
 
 class LConvLayer:
@@ -124,13 +160,21 @@ class LConvLayer:
             return _left_apply(u, _left_apply(v, f))
         return _left_apply(materialize(g), f)
 
-    def _mix(self, i):
-        if self.scalar_eps:
-            return self.eps[i] * self.w0
-        return self.eps[i].T @ self.w0
+    def _mixed(self, i, lf, identity):
+        """(L_i f) (eps^i)^T W0 from lf = L_i f."""
+        e = self.eps[i]
+        if identity:   # in C order, as the product with W0 would be
+            if self.scalar_eps:
+                return np.multiply(e, lf, order="C")
+            return lf @ np.ascontiguousarray(e.T)
+        return lf @ (e * self.w0 if self.scalar_eps else e.T @ self.w0)
 
-    def forward(self, f):
-        """Apply the layer to f of shape (d, m_in) or batched (B, d, m_in)."""
+    def forward(self, f, lf=None):
+        """Apply the layer to f of shape (d, m_in) or batched (B, d, m_in).
+
+        Pass an empty list as `lf` to collect the products L_i f for
+        `backward` on the same f.
+        """
         f = np.asarray(f, dtype=np.float64)
         if f.shape[-1] != self.m_in:
             raise DimensionError(
@@ -138,27 +182,35 @@ class LConvLayer:
         if self.d is not None and f.shape[-2] != self.d:
             raise DimensionError(
                 f"input has {f.shape[-2]} grid points, generators have d={self.d}")
-        out = f @ self.w0 if self.include_residual else np.zeros(
-            f.shape[:-1] + (self.m_out,))
+        identity = _is_identity(self.w0)
+        if not self.include_residual:
+            out = np.zeros(f.shape[:-1] + (self.m_out,))
+        else:
+            out = np.ascontiguousarray(f) if identity else f @ self.w0
         for i in range(self.n_generators):
-            out = out + self._gen_apply(i, f) @ self._mix(i)
+            lfi = self._gen_apply(i, f)
+            if lf is not None:
+                lf.append(lfi)
+            out = out + self._mixed(i, lfi, identity)
         if self.bias is not None:
             out = np.tanh(out + self.bias)
-        return out
+        return f.copy() if out is f else out   # no generator term: not the input itself
 
     # -- backward --------------------------------------------------------
 
-    def backward(self, f, upstream, out=None):
+    def backward(self, f, upstream, out=None, lf=None):
         """Gradients of sum(upstream * forward(f)) w.r.t. all parameters and f.
 
         `upstream` is dLoss/dOutput with the same shape as forward(f);
-        pass `out` to reuse a stored forward value when the tanh head is on.
+        pass `out` to reuse a stored forward value when the tanh head is on,
+        and `lf`, the list `forward(f, lf)` filled, to reuse its L_i f.
         """
         f = np.asarray(f, dtype=np.float64)
         g = np.asarray(upstream, dtype=np.float64)
         batched = f.ndim == 3
         fb = f if batched else f[None]
         gb = g if batched else g[None]
+        identity = _is_identity(self.w0)
 
         d_bias = None
         if self.bias is not None:
@@ -168,18 +220,22 @@ class LConvLayer:
             gb = gb * (1.0 - ob * ob)
             d_bias = gb.sum(axis=(0, 1))
 
-        # out = A @ W0 with A = [f +] sum_i (L_i f) E_i
-        lf = [self._gen_apply(i, fb) for i in range(self.n_generators)]
-        a = fb.copy() if self.include_residual else np.zeros_like(fb)
-        for i in range(self.n_generators):
-            if self.scalar_eps:
-                a = a + self.eps[i] * lf[i]
-            else:
-                a = a + lf[i] @ self.eps[i].T
+        if lf is None:
+            lf = [self._gen_apply(i, fb) for i in range(self.n_generators)]
+        elif not batched:
+            lf = [x[None] for x in lf]
+        residual, scalar = self.include_residual, self.scalar_eps
+        eps = [e if scalar else e.copy() for e in self.eps]
 
-        dw0 = np.tensordot(a, gb, axes=([0, 1], [0, 1]))
-        da = gb @ self.w0.T
-        d_input = da.copy() if self.include_residual else np.zeros_like(fb)
+        def dw0():
+            # out = A @ W0 with A = [f +] sum_i (L_i f) E_i
+            a = fb.copy() if residual else np.zeros_like(fb)
+            for lfi, e in zip(lf, eps):
+                a = a + (e * lfi if scalar else lfi @ e.T)
+            return np.tensordot(a, gb, axes=([0, 1], [0, 1]))
+
+        da = np.ascontiguousarray(gb) if identity else gb @ self.w0.T
+        d_input = da if residual else np.zeros_like(fb)
         d_eps = []
         d_gens = []
         for i in range(self.n_generators):
@@ -198,10 +254,12 @@ class LConvLayer:
             else:
                 d_gens.append(dl)
             d_input = d_input + _left_apply(materialize(gen).T, dpre)
+        if d_input is gb:   # no generator term: do not hand back upstream
+            d_input = d_input.copy()
         if not batched:
             d_input = d_input[0]
-        return LayerGradients(dW0=dw0, d_eps=d_eps, d_generators=d_gens,
-                              d_input=d_input, d_bias=d_bias)
+        return LayerGradients(d_eps=d_eps, d_generators=d_gens, d_input=d_input,
+                              d_bias=d_bias, _dw0=dw0)
 
 
 def recursive_apply(f, layer, t):

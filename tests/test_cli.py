@@ -193,6 +193,25 @@ class TestTrain:
         curve = json.load(open(tmp_path / "resumed" / "report.json"))["loss_curve"]
         assert [row[0] for row in curve] == [2, 3]
 
+    @pytest.mark.parametrize("saved, cfg, code", [
+        (None, FIXED, 4),
+        (ANGLE, FIXED, 2),
+        (FIXED, ANGLE, 2),
+        (ANGLE, dict(ANGLE, m_copies=4), 2),
+        (FIXED, dict(FIXED, width=6), 2),
+    ], ids=["missing", "angle-into-fixed", "fixed-into-angle", "eps-shape",
+            "generator-shape"])
+    def test_bad_resume_rejected_before_writing(self, tmp_path, saved, cfg, code):
+        if saved is not None:
+            path = write_cfg(tmp_path / "s.json", dict(
+                saved, optimizer=OPT, out_dir=str(tmp_path / "saved")))
+            assert run("train", "--config", path) == 0
+        path = write_cfg(tmp_path / "c.json", dict(
+            cfg, optimizer=OPT, resume=str(tmp_path / "saved" / "checkpoint"),
+            out_dir=str(tmp_path / "out")))
+        assert run("train", "--config", path) == code
+        assert not (tmp_path / "out").exists()
+
 
 class TestEval:
     def test_eval_checkpoint(self, tmp_path, capsys):

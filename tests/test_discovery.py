@@ -53,6 +53,47 @@ class TestOptimizers:
                       OptimizerConfig())
         assert params["p"][0, 0] == 1.0
 
+    def test_one_buffer_adam_matches_per_parameter_update(self, tmp_path):
+        # 50 steps, with a checkpoint and resume after 20, against the
+        # textbook update applied to each parameter separately
+        cfg = OptimizerConfig(lr=1e-2)
+        task = AngleRegressionTask(n_train=1, n_test=1, seed=5)
+        start = _angle_params(task, SeededRng(7))
+        rng = SeededRng(8)
+        grads = [{k: rng.uniform_signed(1.0, v.shape) for k, v in start.items()}
+                 for _ in range(50)]
+        ref = {k: v.copy() for k, v in start.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+        for t, step in enumerate(grads, start=1):
+            for k, g in step.items():
+                ref_m[k] *= cfg.beta1
+                ref_m[k] += (1 - cfg.beta1) * g
+                ref_v[k] *= cfg.beta2
+                ref_v[k] += (1 - cfg.beta2) * g * g
+                mhat = ref_m[k] / (1 - cfg.beta1 ** t)
+                vhat = ref_v[k] / (1 - cfg.beta2 ** t)
+                ref[k] -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+
+        params = {k: v.copy() for k, v in start.items()}
+        state = adam_init(params)
+        for step in grads[:20]:
+            adam_step(params, step, state, cfg)
+        layer = LConvLayer(w0=np.eye(10), eps=[params["eps"]],
+                           generators=[params["gen"]])
+        save_train_state(tmp_path, layer, params, state, 1,
+                         head_names=("v1", "b1", "v2", "b2"))
+        _, params, loaded, _ = load_train_state(tmp_path)
+        state = adam_init(params, loaded)
+        for step in grads[20:]:
+            adam_step(params, step, state, cfg)
+        assert state["t"] == 50
+        for k in start:
+            assert np.array_equal(params[k], ref[k]), k
+            assert np.array_equal(state["m"][k], ref_m[k]), k
+            assert np.array_equal(state["v"][k], ref_v[k]), k
+            assert np.shares_memory(params[k], state["flat"][0])
+
     def test_config_validation(self):
         with pytest.raises(LconvError):
             OptimizerConfig(lr=-1.0)
@@ -139,6 +180,33 @@ class TestFixedAngleDataset:
         data = gen_fixed_angle_dataset(FixedAngleTask(n_train=100, n_test=20, seed=1))
         assert sha256(data["y_train"]) == (
             "ea13f6534f8382c7d43ccfb05b2d40c56921f5509cecedd651ac9b8e8b06c64f")
+
+
+class TestTrainingBitsPinned:
+    # SHA-256 of what two short runs learn and of their loss curves,
+    # pinned from the plain training step (every product formed, L f
+    # recomputed, Adam per parameter); any change to the rounding of the
+    # hot path or the evaluation changes them
+    def test_fixed_angle(self):
+        # 1000 test samples: numpy orders a sum over that many F-ordered
+        # rows (evaluation slices x.T) differently from C-ordered ones
+        rep = train_fixed_angle(FixedAngleTask(n_train=640, n_test=1000, seed=0),
+                                OptimizerConfig(lr=1e-2, batch_size=16, epochs=5))
+        assert sha256(rep.arrays["generator"]) == (
+            "572cde4f07cc81e26a575d2cbe697520901d3e6fe4d5133a3e340aec50d6890b")
+        assert sha256(np.array(rep.loss_curve)) == (
+            "c7405028adf513ae6d9017a77679ab3966a6361ebd7928a24069209fc1a1e8de")
+
+    def test_angle_regression(self):
+        rep = train_angle_regression(
+            AngleRegressionTask(n_train=480, n_test=64, seed=0),
+            OptimizerConfig(lr=1e-3, batch_size=16, epochs=10))
+        assert sha256(rep.arrays["generator"]) == (
+            "ebe955e8d92e7bd52afe1e540df40f69146b70953391b8b8a0215ed36d4a6bcf")
+        assert sha256(rep.arrays["eps"]) == (
+            "ffa43e8a2dfec582e1d5e00b872bb4b5acfed999d43cf5f4e271ae1885aec1d9")
+        assert sha256(np.array(rep.loss_curve)) == (
+            "340ecb9ebb50847d75363f37066e929e3a168bc32b4fdb6e4e8c47f5b3a724e4")
 
 
 class TestAnglePairsDataset:
@@ -296,8 +364,8 @@ class TestAngleRegressionPieces:
                            generators=[params["gen"]])
         pred, stash = _angle_forward(params, layer, data["f_train"],
                                      data["y_train"], task.recursions,
-                                     task.m_copies)
-        grads = _angle_backward(params, layer, data["f_train"], data["y_train"],
+                                     task.m_copies, tape=[])
+        grads = _angle_backward(params, layer, data["y_train"],
                                 data["theta_train"], pred, stash)
         an = np.concatenate([np.asarray(grads[k]).ravel() for k in names])
         rel = np.abs(an - fd) / np.maximum(1e-4 * np.abs(fd).max(), np.abs(fd))

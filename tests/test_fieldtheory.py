@@ -10,7 +10,7 @@ from lconv.fieldtheory import (FieldSample, FieldTheoryTerms,
                                noether_divergence)
 from lconv.groups import GridSpec, sw_shift_generator, sw_shift_matrix
 from lconv.layer import LConvLayer
-from lconv.numerics import SeededRng
+from lconv.numerics import DimensionError, SeededRng
 
 
 def ring_sample(rng, d, m):
@@ -201,6 +201,22 @@ class TestVariationalDiagnostics:
             el_residual(np.ones((16, 1)), 0.1, terms, group="so2")
         with pytest.raises(UnsupportedGroupError):
             noether_divergence(np.ones((16, 1)), 0.1, terms, group="scaling")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_small_grids(self, n):
+        # the EL residual needs an interior point (n >= 3); the Noether
+        # divergence differences a current built from differences (n >= 5)
+        terms = scalar_terms(1.0)
+        dx, phi = helmholtz_field(n, 1.0)
+        if n < 3:
+            with pytest.raises(DimensionError, match="3 grid points"):
+                el_residual(phi, dx, terms)
+        else:
+            assert el_residual(phi, dx, terms).shape == (n - 2, 1)
+        with pytest.raises(DimensionError, match="5 grid points"):
+            noether_divergence(phi, dx, terms)
+        with pytest.raises(DimensionError, match="5 points"):
+            helmholtz_convergence([32, n], 1.0, terms)
 
 
 class TestMetricEquivariance:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lconv.groups import Generator, sw_shift_generator, sw_shift_matrix
-from lconv.layer import (LConvLayer, equivariance_residual,
+from lconv.layer import (LConvLayer, _left_apply, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action, load_checkpoint, materialize,
                          recursive_apply, save_checkpoint)
@@ -307,3 +308,153 @@ class TestAffineTanhHead:
         out = layer.forward(f)
         g = layer.backward(f, out - tgt, out=out)
         assert np.abs(g.d_bias - fd).max() < 1e-7
+
+
+def explicit_forward(layer, f):
+    """Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0 with every product formed,
+    for dense generators and no head."""
+    w0 = layer.w0
+    out = f @ w0 if layer.include_residual else np.zeros(f.shape[:-1] + (w0.shape[1],))
+    for e, gen in zip(layer.eps, layer.generators):
+        mix = e * w0 if layer.scalar_eps else e.T @ w0
+        out = out + _left_apply(materialize(gen), f) @ mix
+    return out
+
+
+def explicit_backward(layer, f, upstream):
+    """(dW0, d_eps, d_generators, d_input) with every product formed, for
+    dense generators and no head."""
+    fb, gb = (f, upstream) if f.ndim == 3 else (f[None], upstream[None])
+    w0, residual = layer.w0, layer.include_residual
+    lf = [_left_apply(materialize(g), fb) for g in layer.generators]
+    a = fb.copy() if residual else np.zeros_like(fb)
+    for e, lfi in zip(layer.eps, lf):
+        a = a + (e * lfi if layer.scalar_eps else lfi @ e.T)
+    da = gb @ w0.T
+    d_input = da.copy() if residual else np.zeros_like(fb)
+    d_eps, d_gens = [], []
+    for e, lfi, gen in zip(layer.eps, lf, layer.generators):
+        if layer.scalar_eps:
+            d_eps.append(float(np.sum(lfi * da)))
+            dpre = e * da
+        else:
+            d_eps.append(np.tensordot(da, lfi, axes=([0, 1], [0, 1])))
+            dpre = da @ e
+        d_gens.append(np.tensordot(dpre, fb, axes=([0, 2], [0, 2])))
+        d_input = d_input + _left_apply(materialize(gen).T, dpre)
+    return (np.tensordot(a, gb, axes=([0, 1], [0, 1])), d_eps, d_gens,
+            d_input if f.ndim == 3 else d_input[0])
+
+
+def grad_arrays(g):
+    gens = [x for pair in g.d_generators
+            for x in (pair if isinstance(pair, tuple) else (pair,))]
+    return [g.dW0, np.asarray(g.d_eps, dtype=float), *gens, g.d_input,
+            np.zeros(0) if g.d_bias is None else g.d_bias]
+
+
+@st.composite
+def layer_cases(draw, identity=None, dense=False, head=True):
+    """(layer, f, upstream) over shapes, batching, eps mode, generator
+    encoding, residual path, tanh head and W0 = I or random."""
+    rng = SeededRng(draw(st.integers(0, 2 ** 16)))
+    d, m = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    n_gen = draw(st.integers(1, 2))
+    scalar = draw(st.booleans())
+    eye = draw(st.booleans()) if identity is None else identity
+    w0 = np.eye(m) if eye else rng.uniform_signed(0.8, (m, m))
+    eps = [float(rng.uniform_signed(0.5, ())) if scalar
+           else rng.uniform_signed(0.5, (m, m)) for _ in range(n_gen)]
+    gens = [Generator(dense=rng.uniform_signed(0.6, (d, d)))
+            if dense or draw(st.booleans())
+            else Generator(low_rank=(rng.uniform_signed(0.6, (d, 2)),
+                                     rng.uniform_signed(0.6, (2, d))))
+            for _ in range(n_gen)]
+    bias = rng.uniform_signed(0.3, (m,)) if head and draw(st.booleans()) else None
+    layer = LConvLayer(w0, eps, gens, scalar_eps=scalar,
+                       include_residual=draw(st.booleans()), bias=bias)
+    shape = (draw(st.integers(1, 5)), d, m) if draw(st.booleans()) else (d, m)
+    return layer, rng.uniform_signed(0.7, shape), rng.uniform_signed(0.7, shape)
+
+
+class TestEachProductOnce:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(layer_cases())
+    def test_stashed_lf_matches_recomputed(self, case):
+        layer, f, up = case
+        lf = []
+        out = layer.forward(f, lf)
+        assert len(lf) == layer.n_generators
+        assert np.array_equal(out, layer.forward(f))
+        stashed = grad_arrays(layer.backward(f, up, out=out, lf=lf))
+        recomputed = grad_arrays(layer.backward(f, up, out=out))
+        for a, b in zip(stashed, recomputed):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(layer_cases(identity=True, dense=True, head=False))
+    def test_identity_w0_matches_explicit_products(self, case):
+        layer, f, up = case
+        assert np.array_equal(layer.forward(f), explicit_forward(layer, f))
+        g = layer.backward(f, up)
+        dw0, d_eps, d_gens, d_input = explicit_backward(layer, f, up)
+        assert np.array_equal(g.dW0, dw0)
+        assert np.array_equal(np.asarray(g.d_eps), np.asarray(d_eps))
+        for a, b in zip(g.d_generators, d_gens):
+            assert np.array_equal(a, b)
+        assert np.array_equal(g.d_input, d_input)
+
+    def test_w0_mutation_and_replacement_take_effect(self):
+        rng = SeededRng(41)
+        layer = LConvLayer(np.eye(3), [rng.uniform(3, 3)], [rng.uniform(6, 6)])
+        f, up = rng.uniform(12, 3).reshape(2, 6, 3), rng.uniform(12, 3).reshape(2, 6, 3)
+        base, base_din = layer.forward(f), layer.backward(f, up).d_input
+        for change in (lambda: layer.w0.__setitem__((0, 1), 0.5),   # in place
+                       lambda: setattr(layer, "w0", 2.0 * np.eye(3))):
+            change()
+            out, din = layer.forward(f), layer.backward(f, up).d_input
+            assert not np.array_equal(out, base)
+            assert not np.array_equal(din, base_din)
+            assert np.array_equal(out, explicit_forward(layer, f))
+            assert np.array_equal(din, explicit_backward(layer, f, up)[3])
+        layer.w0 = np.eye(3)
+        assert np.array_equal(layer.forward(f), base)
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_identity_w0_gradients_match_finite_differences(self, trial):
+        # W0 = I takes the skipped-product path and a lazily computed dW0;
+        # the perturbed W0 of the difference quotients takes the other
+        rng = SeededRng(1100 + trial)
+        d, m = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+        sizes = [(m, m), (m, m), (d, d)]
+        p0 = np.concatenate([np.eye(m).ravel(), rng.uniform_signed(0.4, (m, m)).ravel(),
+                             rng.uniform_signed(0.6, (d, d)).ravel()])
+        f = rng.uniform_signed(0.7, (int(rng.integers(1, 4)), d, m))
+        tgt = rng.uniform_signed(0.7, f.shape)
+
+        def build(p):
+            w0, eps, gen = np.split(p, np.cumsum([a * b for a, b in sizes])[:-1])
+            return LConvLayer(w0.reshape(m, m), [eps.reshape(m, m)],
+                              [gen.reshape(d, d)])
+
+        def loss(p):
+            return 0.5 * float(np.sum((build(p).forward(f) - tgt) ** 2))
+
+        fd = finite_difference_gradient(loss, p0, 1e-6)
+        layer = build(p0)
+        g = layer.backward(f, layer.forward(f) - tgt)
+        an = np.concatenate([g.dW0.ravel(), g.d_eps[0].ravel(),
+                             g.d_generators[0].ravel()])
+        rel = np.abs(an - fd) / np.maximum(1e-4 * np.abs(fd).max(), np.abs(fd))
+        assert rel.max() < 1e-5
+
+    def test_lazy_dw0_reads_eps_as_of_backward(self):
+        # an optimizer updates eps in place after backward; a later read
+        # of dW0 must still be the gradient at the old eps
+        rng = SeededRng(42)
+        layer = LConvLayer(np.eye(2), [rng.uniform(2, 2)], [rng.uniform(5, 5)])
+        f, up = rng.uniform(15, 2).reshape(3, 5, 2), rng.uniform(15, 2).reshape(3, 5, 2)
+        expected = explicit_backward(layer, f, up)[0]
+        g = layer.backward(f, up)
+        layer.eps[0] += 1.0
+        assert np.array_equal(g.dW0, expected)
