@@ -206,11 +206,6 @@ def gen_fixed_angle_dataset(task):
     return out
 
 
-def _mse(pred, target):
-    diff = pred - target
-    return float(np.mean(diff * diff))
-
-
 def _safe_corr(a, b):
     """Cosine correlation, or None when either matrix is numerically zero."""
     if np.linalg.norm(a) < 1e-12 or np.linalg.norm(b) < 1e-12:
@@ -362,8 +357,9 @@ def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     layer = _shared_layer(params, np.array([[1.0]]))
 
     def batch(idx):
-        fb = x_train[:, idx].T[:, :, None]
-        yb = y_train[:, idx].T[:, :, None]
+        # (B, d, 1) stored grid-major: take() gathers the columns in C order
+        fb = x_train.take(idx, axis=1).T[:, :, None]
+        yb = y_train.take(idx, axis=1).T[:, :, None]
         lf = []
         diff = layer.forward(fb, lf) - yb
         grads = layer.backward(fb, 2.0 * diff / diff.size, lf=lf)
@@ -442,11 +438,12 @@ def _angle_params(task, rng):
 def _angle_forward(params, layer, f, y, t, m, tape=None):
     """Returns (prediction, stash for `_angle_backward`).
 
-    Pass an empty list as `tape` to record what the backward pass needs:
-    each recursion's input h with the products L h the layer computed.
-    Without a tape (evaluation) nothing is kept.
+    f and y hold one image per row; h holds the m channel copies,
+    (B, d, m) stored grid-major.  Pass an empty list as `tape` to record what
+    the backward pass needs: each recursion's input h with the products
+    L h the layer computed.  Without a tape (evaluation) nothing is kept.
     """
-    h = np.repeat(f[:, :, None], m, axis=2)
+    h = np.repeat(f.T[:, :, None], m, axis=2).swapaxes(0, 1)
     for _ in range(t):
         lf = None
         if tape is not None:
@@ -471,7 +468,7 @@ def _angle_backward(params, layer, y, theta, pred, stash):
     dv1 = g.T @ da1p
     db1 = da1p.sum(axis=0)
     dg = (da1p @ params["v1"].T) * (1.0 - g * g)
-    dh = y[:, :, None] * dg[:, None, :]
+    dh = np.multiply(y.T[:, :, None], dg, order="C").swapaxes(0, 1)   # stored grid-major
     d_eps = np.zeros_like(params["eps"])
     d_gen = np.zeros_like(params["gen"])
     for h, lf in reversed(tape):
@@ -501,7 +498,9 @@ def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     def batch(idx):
         fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]
         pred, stash = _angle_forward(params, layer, fb, yb, t, m, tape=[])
-        return _mse(pred, tb), _angle_backward(params, layer, yb, tb, pred, stash)
+        diff = pred - tb
+        return (float(np.mean(diff * diff)),
+                _angle_backward(params, layer, yb, tb, pred, stash))
 
     report = TrainReport(kind="angle-regression", config=_echo(task, opt),
                          seed=task.seed)

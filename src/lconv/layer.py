@@ -11,6 +11,13 @@ with eps^i mixing input channels before W0.  Everything is linear in f,
 so gradients are exact matrix products; `backward` implements them by
 hand and is validated against central differences in the tests.
 
+Activations have shape (*batch, d, m_in); a single field is (d, m_in).
+The layer computes on the grid-major array f.swapaxes(0, -2) in C order,
+so each L_i is one GEMM on its (d, B m_in) view and each channel mix one
+GEMM on its (d B, m_in) view.  That array is free when f is stored
+grid-major, as `x.T[:, :, None]` is for N fields in a (d, N) matrix x,
+and a copy otherwise; outputs and d_input are stored grid-major.
+
 Each product is computed once, and only when its result is read:
 
 - Stashed L f.  `forward(f, lf)` appends the products L_i f to the list
@@ -22,11 +29,8 @@ Each product is computed once, and only when its result is read:
   call, so assigning or mutating it takes effect at once), the products
   f W0, (eps^i)^T W0 and upstream W0^T are skipped.  For finite inputs
   they return their other operand exactly (except that a -0.0 entry
-  comes back +0.0), so the results keep their bits.  What stands in for
-  a product is C-ordered, as the product was, because BLAS and numpy
-  reductions round by the layout of their operands: (eps^i)^T is passed
-  as a C-ordered copy, f and upstream are copied when not C-ordered,
-  and a scalar eps^i times L_i f is written in C order.
+  comes back +0.0), and (eps^i)^T is passed C-ordered, as the product
+  was, so the results keep their bits.
 - Lazy dW0.  `LayerGradients.dW0` and the sum A = f + sum_i (L_i f)
   (eps^i)^T it needs are computed on first read; training with W0
   frozen never pays for them.
@@ -55,13 +59,6 @@ def materialize(gen):
         u, v = gen.low_rank
         return u @ v
     return as_matrix(gen)
-
-
-def _left_apply(m, f):
-    """m @ f along the grid axis, fused into one GEMM for batched input."""
-    if f.ndim == 2:
-        return m @ f
-    return np.tensordot(m, f, axes=([1], [1])).transpose(1, 0, 2)
 
 
 def _is_identity(w0):
@@ -153,48 +150,56 @@ class LConvLayer:
 
     # -- forward ---------------------------------------------------------
 
-    def _gen_apply(self, i, f):
+    def _input(self, f):
+        """f of shape (*batch, d, m_in) as the C-ordered grid-major array
+        f.swapaxes(0, -2); a copy only when f is not stored that way."""
+        f = np.asarray(f, dtype=np.float64)
+        if f.ndim < 2 or f.shape[-1] != self.m_in:
+            raise DimensionError(f"input of shape {f.shape} does not end in "
+                                 f"m_in={self.m_in} channels")
+        if self.d is not None and f.shape[-2] != self.d:
+            raise DimensionError(f"input has {f.shape[-2]} grid points on axis "
+                                 f"{f.ndim - 2}, generators have d={self.d}")
+        return np.ascontiguousarray(f.swapaxes(0, -2))
+
+    def _gen_apply(self, i, grid):
+        """L_i applied to the (d, B m_in) view `grid` of f."""
         g = self.generators[i]
         if isinstance(g, Generator) and g.low_rank is not None:
             u, v = g.low_rank
-            return _left_apply(u, _left_apply(v, f))
-        return _left_apply(materialize(g), f)
+            return u @ (v @ grid)
+        return materialize(g) @ grid
 
     def _mixed(self, i, lf, identity):
-        """(L_i f) (eps^i)^T W0 from lf = L_i f."""
+        """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
         e = self.eps[i]
-        if identity:   # in C order, as the product with W0 would be
-            if self.scalar_eps:
-                return np.multiply(e, lf, order="C")
-            return lf @ np.ascontiguousarray(e.T)
+        if identity:   # C-ordered, as the product with W0 would be
+            return e * lf if self.scalar_eps else lf @ np.ascontiguousarray(e.T)
         return lf @ (e * self.w0 if self.scalar_eps else e.T @ self.w0)
 
     def forward(self, f, lf=None):
-        """Apply the layer to f of shape (d, m_in) or batched (B, d, m_in).
+        """Apply the layer to f of shape (*batch, d, m_in); returns
+        (*batch, d, m_out), stored grid-major.
 
         Pass an empty list as `lf` to collect the products L_i f for
         `backward` on the same f.
         """
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape[-1] != self.m_in:
-            raise DimensionError(
-                f"input has {f.shape[-1]} channels, layer expects m_in={self.m_in}")
-        if self.d is not None and f.shape[-2] != self.d:
-            raise DimensionError(
-                f"input has {f.shape[-2]} grid points, generators have d={self.d}")
+        f = self._input(f)
+        rows = f.reshape(-1, self.m_in)
         identity = _is_identity(self.w0)
         if not self.include_residual:
-            out = np.zeros(f.shape[:-1] + (self.m_out,))
+            out = np.zeros((rows.shape[0], self.m_out))
         else:
-            out = np.ascontiguousarray(f) if identity else f @ self.w0
+            out = rows if identity else rows @ self.w0
         for i in range(self.n_generators):
-            lfi = self._gen_apply(i, f)
+            lfi = self._gen_apply(i, f.reshape(f.shape[0], -1)).reshape(rows.shape)
             if lf is not None:
                 lf.append(lfi)
             out = out + self._mixed(i, lfi, identity)
         if self.bias is not None:
             out = np.tanh(out + self.bias)
-        return f.copy() if out is f else out   # no generator term: not the input itself
+        out = rows.copy() if out is rows else out   # never a view of the input
+        return out.reshape(f.shape[:-1] + (self.m_out,)).swapaxes(0, -2)
 
     # -- backward --------------------------------------------------------
 
@@ -205,60 +210,59 @@ class LConvLayer:
         pass `out` to reuse a stored forward value when the tanh head is on,
         and `lf`, the list `forward(f, lf)` filled, to reuse its L_i f.
         """
-        f = np.asarray(f, dtype=np.float64)
-        g = np.asarray(upstream, dtype=np.float64)
-        batched = f.ndim == 3
-        fb = f if batched else f[None]
-        gb = g if batched else g[None]
+        expected = np.shape(f)[:-1] + (self.m_out,)
+        f = self._input(f)
+        if np.shape(upstream) != expected:
+            raise DimensionError(f"upstream has shape {np.shape(upstream)}, "
+                                 f"forward(f) has {expected}")
+        d = f.shape[0]
+        grid, rows = f.reshape(d, -1), f.reshape(-1, self.m_in)
+        g = np.ascontiguousarray(np.swapaxes(upstream, 0, -2),
+                                 dtype=np.float64).reshape(-1, self.m_out)
         identity = _is_identity(self.w0)
 
         d_bias = None
         if self.bias is not None:
-            ob = out if out is not None else self.forward(f)
-            if not batched:
-                ob = ob[None]
-            gb = gb * (1.0 - ob * ob)
-            d_bias = gb.sum(axis=(0, 1))
+            o = out if out is not None else self.forward(f.swapaxes(0, -2))
+            o = np.swapaxes(o, 0, -2).reshape(g.shape)
+            g = g * (1.0 - o * o)
+            d_bias = g.sum(axis=0)
 
         if lf is None:
-            lf = [self._gen_apply(i, fb) for i in range(self.n_generators)]
-        elif not batched:
-            lf = [x[None] for x in lf]
+            lf = [self._gen_apply(i, grid).reshape(rows.shape)
+                  for i in range(self.n_generators)]
         residual, scalar = self.include_residual, self.scalar_eps
         eps = [e if scalar else e.copy() for e in self.eps]
 
         def dw0():
             # out = A @ W0 with A = [f +] sum_i (L_i f) E_i
-            a = fb.copy() if residual else np.zeros_like(fb)
+            a = rows if residual else np.zeros_like(rows)
             for lfi, e in zip(lf, eps):
                 a = a + (e * lfi if scalar else lfi @ e.T)
-            return np.tensordot(a, gb, axes=([0, 1], [0, 1]))
+            return a.T @ g
 
-        da = np.ascontiguousarray(gb) if identity else gb @ self.w0.T
-        d_input = da if residual else np.zeros_like(fb)
-        d_eps = []
-        d_gens = []
-        for i in range(self.n_generators):
-            if self.scalar_eps:
+        da = g if identity else g @ self.w0.T
+        d_eps, d_gens = [], []
+        d_in = (da if residual else np.zeros_like(da)).reshape(d, -1)
+        for i, gen in enumerate(self.generators):
+            if scalar:
                 d_eps.append(float(np.sum(lf[i] * da)))
                 dpre = self.eps[i] * da          # gradient flowing into L_i f
             else:
                 # forward used E = eps^T, so d_eps is the transpose of dE
-                d_eps.append(np.tensordot(da, lf[i], axes=([0, 1], [0, 1])))
+                d_eps.append(da.T @ lf[i])
                 dpre = da @ self.eps[i]
-            dl = np.tensordot(dpre, fb, axes=([0, 2], [0, 2]))
-            gen = self.generators[i]
+            dpre = dpre.reshape(d, -1)
+            dl = dpre @ grid.T
             if isinstance(gen, Generator) and gen.low_rank is not None:
                 u, v = gen.low_rank
                 d_gens.append((dl @ v.T, u.T @ dl))
             else:
                 d_gens.append(dl)
-            d_input = d_input + _left_apply(materialize(gen).T, dpre)
-        if d_input is gb:   # no generator term: do not hand back upstream
-            d_input = d_input.copy()
-        if not batched:
-            d_input = d_input[0]
-        return LayerGradients(d_eps=d_eps, d_generators=d_gens, d_input=d_input,
+            d_in = d_in + materialize(gen).T @ dpre
+        d_in = d_in if self.generators else d_in.copy()
+        return LayerGradients(d_eps=d_eps, d_generators=d_gens,
+                              d_input=d_in.reshape(f.shape).swapaxes(0, -2),
                               d_bias=d_bias, _dw0=dw0)
 
 

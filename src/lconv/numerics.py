@@ -170,9 +170,6 @@ class SeededRng:
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)
 
-    def choice(self, n, size, replace=True):
-        return self._gen.choice(n, size=size, replace=replace)
-
     def permutation(self, n):
         return self._gen.permutation(n)
 
@@ -224,8 +221,8 @@ def write_csv(path, header, rows):
 
 
 def _csv_cell(v):
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     s = str(v)

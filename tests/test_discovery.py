@@ -11,7 +11,7 @@ from lconv.discovery import (AngleRegressionTask, FixedAngleTask,
                              gen_fixed_angle_dataset, load_train_state,
                              rotate_images, save_train_state, sgd_step,
                              train_fixed_angle, train_angle_regression,
-                             _angle_forward, _angle_params)
+                             _angle_forward, _angle_params, _shared_layer)
 from lconv.groups import UnsupportedSizeError
 from lconv.layer import LConvLayer
 from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
@@ -183,30 +183,28 @@ class TestFixedAngleDataset:
 
 
 class TestTrainingBitsPinned:
-    # SHA-256 of what two short runs learn and of their loss curves,
-    # pinned from the plain training step (every product formed, L f
-    # recomputed, Adam per parameter); any change to the rounding of the
-    # hot path or the evaluation changes them
+    # SHA-256 of what two short runs learn and of their loss curves, with
+    # grid-major activations; any change to the rounding of the hot path
+    # or the evaluation changes them
     def test_fixed_angle(self):
-        # 1000 test samples: numpy orders a sum over that many F-ordered
-        # rows (evaluation slices x.T) differently from C-ordered ones
+        # 1000 test samples: the evaluation sums over many columns at once
         rep = train_fixed_angle(FixedAngleTask(n_train=640, n_test=1000, seed=0),
                                 OptimizerConfig(lr=1e-2, batch_size=16, epochs=5))
         assert sha256(rep.arrays["generator"]) == (
-            "572cde4f07cc81e26a575d2cbe697520901d3e6fe4d5133a3e340aec50d6890b")
+            "e2591a8e61e2bd452fd3811bebd05aca3a6fe21fd7958fc2482c39cfe6c0fe07")
         assert sha256(np.array(rep.loss_curve)) == (
-            "c7405028adf513ae6d9017a77679ab3966a6361ebd7928a24069209fc1a1e8de")
+            "b3de9e17a236f0cf3d3b1042edddacbc0c60f7f55c0f1035515c802b5573b669")
 
     def test_angle_regression(self):
         rep = train_angle_regression(
             AngleRegressionTask(n_train=480, n_test=64, seed=0),
             OptimizerConfig(lr=1e-3, batch_size=16, epochs=10))
         assert sha256(rep.arrays["generator"]) == (
-            "ebe955e8d92e7bd52afe1e540df40f69146b70953391b8b8a0215ed36d4a6bcf")
+            "8b10cfd54e85f2424b6ebb2d685378d18688b0a8a89186976f91bdfbcb321399")
         assert sha256(rep.arrays["eps"]) == (
-            "ffa43e8a2dfec582e1d5e00b872bb4b5acfed999d43cf5f4e271ae1885aec1d9")
+            "54791773d4318bb9f535036f73cdac553898060740ed798e6e8423bf1dec6ea6")
         assert sha256(np.array(rep.loss_curve)) == (
-            "340ecb9ebb50847d75363f37066e929e3a168bc32b4fdb6e4e8c47f5b3a724e4")
+            "ef3775a1b538da534e6f24849d2d81762f4b0039bcc11668a6b44e692465857d")
 
 
 class TestAnglePairsDataset:
@@ -327,6 +325,24 @@ class TestTrainedGeneratorReachesLayer:
         saved = read_matrix(tmp_path / "gen_0.mat")
         assert np.array_equal(saved, rep.arrays["generator"])
         assert not np.array_equal(saved, init(task))
+
+
+class TestSharedLayer:
+    def test_holds_the_trained_parameters(self):
+        rng = SeededRng(45)
+        params = {"gen": rng.uniform(6, 6), "eps": rng.uniform(3, 3)}
+        layer = _shared_layer(params, np.eye(3))
+        assert layer.generators[0] is params["gen"] and layer.eps[0] is params["eps"]
+        # no "eps" entry: eps is not trained and is the scalar 1
+        layer = _shared_layer({"gen": params["gen"]}, np.eye(1))
+        assert layer.generators[0] is params["gen"]
+        assert layer.scalar_eps and layer.eps == [1.0]
+
+    def test_copied_parameter_rejected(self):
+        # float32 eps is converted, i.e. copied, by the layer
+        params = {"gen": np.eye(4), "eps": np.eye(2, dtype=np.float32)}
+        with pytest.raises(RuntimeError, match="copied"):
+            _shared_layer(params, np.eye(2))
 
 
 class TestAngleRegressionPieces:

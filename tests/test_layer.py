@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lconv.groups import Generator, sw_shift_generator, sw_shift_matrix
-from lconv.layer import (LConvLayer, _left_apply, equivariance_residual,
+from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action, load_checkpoint, materialize,
                          recursive_apply, save_checkpoint)
@@ -310,40 +310,55 @@ class TestAffineTanhHead:
         assert np.abs(g.d_bias - fd).max() < 1e-7
 
 
+def grid_major(a):
+    """The C-ordered grid-major (d, *batch, m) array of a (*batch, d, m) one."""
+    return np.ascontiguousarray(a.swapaxes(0, -2))
+
+
+def left_apply(m, f):
+    """m @ f along the grid axis of a (d, *batch, m) array."""
+    return (m @ f.reshape(f.shape[0], -1)).reshape(m.shape[0], *f.shape[1:])
+
+
+def rows(a):
+    """The (d B, m) view of a (d, *batch, m) array."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def explicit_forward(layer, f):
-    """Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0 with every product formed,
-    for dense generators and no head."""
-    w0 = layer.w0
-    out = f @ w0 if layer.include_residual else np.zeros(f.shape[:-1] + (w0.shape[1],))
+    """Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0 with every product formed
+    on the grid-major array, for dense generators and no head."""
+    f, w0 = grid_major(f), layer.w0
+    out = rows(f) @ w0 if layer.include_residual else np.zeros((rows(f).shape[0], w0.shape[1]))
     for e, gen in zip(layer.eps, layer.generators):
         mix = e * w0 if layer.scalar_eps else e.T @ w0
-        out = out + _left_apply(materialize(gen), f) @ mix
-    return out
+        out = out + rows(left_apply(materialize(gen), f)) @ mix
+    return out.reshape(f.shape[:-1] + (w0.shape[1],)).swapaxes(0, -2)
 
 
 def explicit_backward(layer, f, upstream):
-    """(dW0, d_eps, d_generators, d_input) with every product formed, for
-    dense generators and no head."""
-    fb, gb = (f, upstream) if f.ndim == 3 else (f[None], upstream[None])
+    """(dW0, d_eps, d_generators, d_input) with every product formed on
+    the grid-major arrays, for dense generators and no head."""
+    f, upstream = grid_major(f), grid_major(upstream)
     w0, residual = layer.w0, layer.include_residual
-    lf = [_left_apply(materialize(g), fb) for g in layer.generators]
-    a = fb.copy() if residual else np.zeros_like(fb)
+    lf = [rows(left_apply(materialize(g), f)) for g in layer.generators]
+    a = rows(f).copy() if residual else np.zeros_like(rows(f))
     for e, lfi in zip(layer.eps, lf):
         a = a + (e * lfi if layer.scalar_eps else lfi @ e.T)
-    da = gb @ w0.T
-    d_input = da.copy() if residual else np.zeros_like(fb)
+    da = rows(upstream) @ w0.T
+    d_input = (da.copy() if residual else np.zeros_like(da)).reshape(f.shape)
     d_eps, d_gens = [], []
     for e, lfi, gen in zip(layer.eps, lf, layer.generators):
         if layer.scalar_eps:
             d_eps.append(float(np.sum(lfi * da)))
             dpre = e * da
         else:
-            d_eps.append(np.tensordot(da, lfi, axes=([0, 1], [0, 1])))
+            d_eps.append(da.T @ lfi)
             dpre = da @ e
-        d_gens.append(np.tensordot(dpre, fb, axes=([0, 2], [0, 2])))
-        d_input = d_input + _left_apply(materialize(gen).T, dpre)
-    return (np.tensordot(a, gb, axes=([0, 1], [0, 1])), d_eps, d_gens,
-            d_input if f.ndim == 3 else d_input[0])
+        dpre = dpre.reshape(f.shape)
+        d_gens.append(dpre.reshape(f.shape[0], -1) @ f.reshape(f.shape[0], -1).T)
+        d_input = d_input + left_apply(materialize(gen).T, dpre)
+    return a.T @ rows(upstream), d_eps, d_gens, d_input.swapaxes(0, -2)
 
 
 def grad_arrays(g):
@@ -458,3 +473,78 @@ class TestEachProductOnce:
         g = layer.backward(f, up)
         layer.eps[0] += 1.0
         assert np.array_equal(g.dW0, expected)
+
+
+class TestActivationLayout:
+    # f is (*batch, d, m_in), computed on its grid-major array (d, *batch, m_in)
+    def test_batched_forward_equals_unbatched_calls(self):
+        rng = SeededRng(50)
+        layer = random_layer(rng, 6, 3, 2, n_gen=2)
+        f = rng.uniform_signed(0.7, (4, 6, 3))
+        out = layer.forward(f)
+        assert out.shape == (4, 6, 2)
+        for b in range(4):
+            np.testing.assert_allclose(out[b], layer.forward(f[b]),
+                                       rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("low_rank", [False, True], ids=["dense", "low-rank"])
+    def test_batched_gradients_match_finite_differences(self, low_rank):
+        rng = SeededRng(51 + low_rank)
+        d, b, m_in, m_out = 5, 3, 2, 3
+        sizes = [(m_in, m_out), (m_in, m_in)] + ([(d, 2), (2, d)] if low_rank else [(d, d)])
+        p0 = np.concatenate([rng.uniform_signed(0.6, s).ravel() for s in sizes])
+        f = rng.uniform_signed(0.7, (b, d, m_in))
+        tgt = rng.uniform_signed(0.7, (b, d, m_out))
+
+        def build(p):
+            w0, eps, *gen = np.split(p, np.cumsum([x * y for x, y in sizes])[:-1])
+            gen = [a.reshape(s) for a, s in zip(gen, sizes[2:])]
+            return LConvLayer(w0.reshape(sizes[0]), [eps.reshape(sizes[1])],
+                              [Generator(low_rank=tuple(gen)) if low_rank
+                               else Generator(dense=gen[0])])
+
+        def loss(p, x=f):
+            return 0.5 * float(np.sum((build(p).forward(x) - tgt) ** 2))
+
+        layer = build(p0)
+        g = layer.backward(f, layer.forward(f) - tgt)
+        gens = g.d_generators[0] if low_rank else (g.d_generators[0],)
+        an = np.concatenate([g.dW0.ravel(), g.d_eps[0].ravel(),
+                             *(x.ravel() for x in gens)])
+        fd = finite_difference_gradient(loss, p0, 1e-6)
+        rel = np.abs(an - fd) / np.maximum(1e-4 * np.abs(fd).max(), np.abs(fd))
+        assert rel.max() < 1e-5
+        fd_input = finite_difference_gradient(
+            lambda x: loss(p0, x.reshape(f.shape)), f.ravel(), 1e-6)
+        assert np.abs(g.d_input.ravel() - fd_input).max() < 1e-7
+
+    def test_memory_order_keeps_bits_and_outputs_are_grid_major(self):
+        rng = SeededRng(54)
+        layer = random_layer(rng, 6, 3, 3, n_gen=2)
+        f_gm, up_gm = (rng.uniform_signed(0.7, (6, 4, 3)) for _ in range(2))
+        f, up = f_gm.swapaxes(0, 1), up_gm.swapaxes(0, 1)   # (B, d, m) views
+        fc, upc = np.ascontiguousarray(f), np.ascontiguousarray(up)
+        out = layer.forward(f)
+        assert np.array_equal(out, layer.forward(fc))
+        a, b = grad_arrays(layer.backward(f, up)), grad_arrays(layer.backward(fc, upc))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        assert out.swapaxes(0, 1).flags.c_contiguous
+        assert layer.backward(fc, upc).d_input.swapaxes(0, 1).flags.c_contiguous
+
+    def test_grid_axis_not_second_to_last_rejected(self):
+        rng = SeededRng(53)
+        layer = random_layer(rng, 6, 2, 2)
+        f = rng.uniform_signed(0.7, (6, 4, 2))   # (d, B, m), B != d
+        with pytest.raises(DimensionError, match="axis 1"):
+            layer.forward(f)
+        with pytest.raises(DimensionError, match="axis 1"):
+            layer.backward(f, f)
+
+    def test_upstream_of_another_shape_rejected(self):
+        # same size as forward(f), but grid-major: rejected, not reshaped
+        rng = SeededRng(55)
+        layer = random_layer(rng, 6, 2, 2)
+        f = rng.uniform_signed(0.7, (4, 6, 2))
+        with pytest.raises(DimensionError, match="upstream"):
+            layer.backward(f, np.ascontiguousarray(f.swapaxes(0, 1)))

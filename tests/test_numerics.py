@@ -154,3 +154,9 @@ class TestCsv:
         write_csv(p, ("a", "b"), [(1, 0.5), (2, 1.25)])
         raw = p.read_bytes()
         assert raw == b"a,b\r\n1,0.5\r\n2,1.25\r\n"
+
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ("a", "b", "c"),
+                  [(np.float64(0.1), np.float32(0.5), np.int64(3))])
+        assert p.read_bytes() == b"a,b,c\r\n0.1,0.5,3\r\n"
