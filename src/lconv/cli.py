@@ -210,6 +210,8 @@ def cmd_eval(cfg, args):
                           "eval scores fixed-angle checkpoints only")
     x = read_matrix(os.path.join(cfg["data_dir"], "X_test.mat"))
     y = read_matrix(os.path.join(cfg["data_dir"], "Y_test.mat"))
+    if x.shape != y.shape or x.shape[0] != layer.d:
+        raise ConfigError(f"X_test {x.shape}, Y_test {y.shape} do not fit d = {layer.d}")
     out_dir = _echo_run("eval", cfg)
     pred = layer.forward(x.T[:, :, None])
     mse = float(np.mean((pred - y.T[:, :, None]) ** 2))

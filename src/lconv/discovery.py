@@ -194,14 +194,20 @@ class TrainReport:
 
 def gen_fixed_angle_dataset(task):
     """Columns are samples: X is d x N random pixels in [-0.5, 0.5),
-    Y = R(theta) X.  Train and test splits use seeds (seed, seed + 1)."""
+    Y = R(theta) X rounded as BLAS does on C-ordered X.  Train and test splits
+    use seeds (seed, seed + 1).  Train is stored sample-major (X.T C-contiguous)
+    so minibatches gather whole rows; test stays C-ordered for in-order column sums."""
     r = rotation_matrix_bilinear(task.width, task.height, task.theta).matrix
     out = {}
     for split, seed, n in (("train", task.seed, task.n_train),
                            ("test", task.seed + 1, task.n_test)):
         x = SeededRng(seed).uniform(task.d, n)
+        y = r @ x
+        if split == "train":
+            x = np.asfortranarray(x)
+            y = np.asfortranarray(y)
         out[f"x_{split}"] = x
-        out[f"y_{split}"] = r @ x
+        out[f"y_{split}"] = y
     out["rotation"] = r
     return out
 
@@ -357,9 +363,9 @@ def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     layer = _shared_layer(params, np.array([[1.0]]))
 
     def batch(idx):
-        # (B, d, 1) stored grid-major: take() gathers the columns in C order
-        fb = x_train.take(idx, axis=1).T[:, :, None]
-        yb = y_train.take(idx, axis=1).T[:, :, None]
+        # whole sample rows, copied once to store (B, d, 1) grid-major
+        fb = x_train.T.take(idx, axis=0).copy(order="F")[:, :, None]
+        yb = y_train.T.take(idx, axis=0).copy(order="F")[:, :, None]
         lf = []
         diff = layer.forward(fb, lf) - yb
         grads = layer.backward(fb, 2.0 * diff / diff.size, lf=lf)

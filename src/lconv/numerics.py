@@ -187,9 +187,11 @@ _HEADER = struct.Struct("<8sIQQ")
 def write_matrix(path, m):
     m = as_matrix(m)
     check_finite(m, "matrix to write")
+    rows = max(8, (1 << 20) // (8 * max(m.shape[1], 1)))  # 1 MiB copies, any layout
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        for start in range(0, m.shape[0], rows):
+            fh.write(np.ascontiguousarray(m[start:start + rows], dtype="<f8"))
 
 
 def read_matrix(path):

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from lconv.cli import main
-from lconv.numerics import read_matrix
+from lconv.numerics import read_matrix, write_matrix
 
 
 def write_cfg(path, cfg):
@@ -242,6 +242,27 @@ class TestEval:
             path = write_cfg(tmp_path / f"{out}.json",
                              dict(cfg, out_dir=str(tmp_path / out)))
             assert run(command, "--config", path) == 0
+        eval_cfg = write_cfg(tmp_path / "e.json",
+                             {"checkpoint": str(tmp_path / "run" / "checkpoint"),
+                              "data_dir": str(tmp_path / "data"),
+                              "out_dir": str(tmp_path / "evalout")})
+        assert run("eval", "--config", eval_cfg) == 2
+        assert not (tmp_path / "evalout").exists()
+
+    @pytest.mark.parametrize("data, cut", [
+        ({"width": 5, "height": 5}, False),
+        ({}, True),
+    ], ids=["grid-size-differs", "sample-counts-differ"])
+    def test_data_not_fitting_checkpoint_rejected_before_writing(self, tmp_path,
+                                                                 data, cut):
+        for command, out, cfg in (("gen-data", "data", dict(FIXED, **data)),
+                                  ("train", "run", dict(FIXED, optimizer=OPT))):
+            path = write_cfg(tmp_path / f"{out}.json",
+                             dict(cfg, out_dir=str(tmp_path / out)))
+            assert run(command, "--config", path) == 0
+        if cut:
+            y = tmp_path / "data" / "Y_test.mat"
+            write_matrix(y, read_matrix(y)[:, :-1])
         eval_cfg = write_cfg(tmp_path / "e.json",
                              {"checkpoint": str(tmp_path / "run" / "checkpoint"),
                               "data_dir": str(tmp_path / "data"),

@@ -152,6 +152,21 @@ class TestFixedAngleDataset:
         ny = np.linalg.norm(d["y_train"], axis=0)
         assert (ny <= nx + 1e-9).all()
 
+    def test_training_split_stored_sample_major(self):
+        # minibatches gather whole rows of x_train.T; the values are those of
+        # the C-ordered draw, and y = R x as BLAS rounds it on that draw
+        from lconv.groups import rotation_matrix_bilinear
+        task = FixedAngleTask(n_train=300, n_test=20, seed=6)
+        data = gen_fixed_angle_dataset(task)
+        x = SeededRng(6).uniform(task.d, 300)
+        r = rotation_matrix_bilinear(7, 7, task.theta).matrix
+        assert data["x_train"].T.flags.c_contiguous
+        assert data["y_train"].T.flags.c_contiguous
+        assert sha256(data["x_train"]) == sha256(x)
+        assert sha256(data["y_train"]) == sha256(r @ x)
+        # the test split is read in column ranges and keeps its C order
+        assert data["x_test"].flags.c_contiguous and data["y_test"].flags.c_contiguous
+
     def test_rotate_images_matrix_agreement(self):
         from lconv.groups import rotation_matrix_bilinear
         rng = SeededRng(5)
@@ -255,6 +270,21 @@ class TestFixedAngleTraining:
         b = train_fixed_angle(task, opt)
         assert a.loss_curve == b.loss_curve
         assert np.array_equal(a.arrays["generator"], b.arrays["generator"])
+
+    def test_training_split_layout_is_a_speed_choice_only(self, monkeypatch):
+        task = FixedAngleTask(n_train=640, n_test=100, seed=0)
+        opt = OptimizerConfig(lr=1e-2, batch_size=16, epochs=3)
+        ref = train_fixed_angle(task, opt)
+        c_ordered = {k: np.ascontiguousarray(v)
+                     for k, v in gen_fixed_angle_dataset(task).items()}
+        assert not c_ordered["x_train"].T.flags.c_contiguous
+        used = []
+        monkeypatch.setattr("lconv.discovery.gen_fixed_angle_dataset",
+                            lambda t: used.append(t) or c_ordered)
+        rep = train_fixed_angle(task, opt)
+        assert used == [task]
+        assert sha256(rep.arrays["generator"]) == sha256(ref.arrays["generator"])
+        assert sha256(np.array(rep.loss_curve)) == sha256(np.array(ref.loss_curve))
 
     def test_sgd_loss_monotone_with_small_lr(self):
         task = FixedAngleTask(n_train=1000, n_test=100, seed=2)

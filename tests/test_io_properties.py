@@ -2,13 +2,15 @@
 
 `write_matrix`/`read_matrix` keep every bit of a finite float64 matrix,
 whatever its shape or memory order, and refuse to write a non-finite
-one; each `write_csv` cell reads back (with the `csv` module) as the
-float, integer or string that was written.
+one; the file bytes do not depend on the memory order, which is copied
+in bounded blocks.  Each `write_csv` cell reads back (with the `csv`
+module) as the float, integer or string that was written.
 """
 
 import csv
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,31 @@ def test_nonfinite_matrix_rejected(m, bad, data):
         with pytest.raises(DegenerateInputError):
             write_matrix(path, m)
         assert not os.path.exists(path)
+
+
+# write_matrix copies about 1 MiB of rows at a time (at least 8): these
+# shapes span one block, several blocks, a lone row and a lone column
+@pytest.mark.parametrize("shape", [(1, 300_000), (200_000, 1), (300, 1000), (17, 50_000)])
+def test_matrix_file_bytes_independent_of_layout(tmp_path, shape):
+    m = np.random.default_rng(0).standard_normal(shape)
+    payloads = []
+    for i, view in enumerate(layouts(m)):
+        write_matrix(tmp_path / f"{i}.mat", view)
+        payloads.append((tmp_path / f"{i}.mat").read_bytes())
+    assert payloads[0][-m.nbytes:] == m.astype("<f8").tobytes()
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+
+def test_fortran_matrix_written_in_bounded_blocks(tmp_path):
+    m = np.asfortranarray(np.random.default_rng(0).standard_normal((49, 50_000)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_matrix(tmp_path / "m.mat", m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4, f"allocated {peak} bytes writing {m.nbytes}"
 
 
 FLOATS = st.floats(allow_nan=False)
