@@ -13,15 +13,19 @@ n -> infinity limit for even total shifts: the unpaired Nyquist mode of an
 even-length grid carries cos(pi z) in the exact element but is
 annihilated by every circulant generator, so exp(z L) matches g(z) only
 when cos(pi z) = 1.
+
+An exactly circulant generator is diagonal in the DFT basis (the SW one
+with Nyquist eigenvalue 0), so its step product is powered mode by mode.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupElement, Generator, sw_shift_matrix, sw_shift_generator
+from .groups import (GroupElement, Generator, _circulant, sw_shift_matrix,
+                     sw_shift_generator)
 from .layer import materialize
-from .numerics import DimensionError, as_matrix, cosine_correlation
+from .numerics import DimensionError, as_matrix, check_value, cosine_correlation
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,25 @@ def gconv_reference(f, kernel):
 
 
 def approx_group_element(gen, z, n):
-    """(I + (z/n) L)^n: n near-identity steps along the generator."""
+    """(I + (z/n) L)^n: n near-identity steps along the generator.
+
+    An exactly circulant L (bit-equal to its diagonal shift) has the DFT
+    eigenvalues lam = fft(L[:, 0]), so this is the circulant I + ifft((1 +
+    (z/n) lam)^n - 1), in O(d^2) and exactly I at z = 0.  Any other L, even
+    one bit off circulant, is powered densely by matrix_power.
+    """
+    check_value("step count n", n, int)
     if n < 1:
         raise DimensionError("need at least one step")
     l = materialize(gen)
-    step = np.eye(l.shape[0]) + (float(z) / n) * l
-    m = np.linalg.matrix_power(step, n)
+    if (l.shape == (len(l), len(l)) and np.isrealobj(l)
+            and np.array_equal(np.roll(l, (1, 1), axis=(0, 1)), l)):
+        lam = np.fft.fft(l[:, 0])
+        band = np.fft.ifft((1.0 + (float(z) / n) * lam) ** n - 1.0).real
+        band[0] += 1.0
+        m = _circulant(band)
+    else:
+        m = np.linalg.matrix_power(np.eye(l.shape[0]) + (float(z) / n) * l, n)
     label = gen.label if isinstance(gen, Generator) else "generator"
     return GroupElement(matrix=m, label=f"approx z={float(z):g} n={n} [{label}]")
 

@@ -31,6 +31,7 @@ matrix product sums the four terms.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import DimensionError, LconvError, as_matrix
 
@@ -117,9 +118,10 @@ def _sw_band(d, z):
 
 
 def _circulant(band):
-    d = band.shape[0]
-    idx = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-    return band[idx]
+    """C[i, j] = band[(i - j) % d]: row i is the window at d - 1 - i of the
+    reversed band read twice, so one C-order copy of a strided view."""
+    r = band[::-1]
+    return sliding_window_view(np.concatenate((r, r[:-1])), len(band))[::-1].copy()
 
 
 def sw_shift_matrix(d, z):

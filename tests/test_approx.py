@@ -5,9 +5,12 @@ from lconv.approx import (approx_group_element, circular_convolve,
                           cnn_equivalence_check, fit_loglog_slope,
                           gconv_reference, sampled_kernel, shift_approx_sweep,
                           shift_kernel)
-from lconv.groups import GroupElement, sw_shift_generator, sw_shift_matrix
-from lconv.layer import LConvLayer, group_action, recursive_apply
-from lconv.numerics import DimensionError, SeededRng, cosine_correlation
+from lconv.groups import (Generator, GroupElement, _circulant, _sw_generator_band,
+                          sw_rotation_generator, sw_shift_generator,
+                          sw_shift_matrix)
+from lconv.layer import LConvLayer, group_action, materialize, recursive_apply
+from lconv.numerics import (DimensionError, LconvError, SeededRng,
+                            cosine_correlation)
 
 
 class TestGconvReference:
@@ -78,6 +81,71 @@ class TestApproxGroupElement:
             exact = sw_shift_matrix(d, 2.0).matrix
             approx = approx_group_element(gen, 2.0, 256).matrix
             assert cosine_correlation(approx, exact) > 0.999
+
+
+def dense_power(gen, z, n):
+    """The dense reference: matrix_power of the materialized step."""
+    l = materialize(gen)
+    return np.linalg.matrix_power(np.eye(l.shape[0]) + (z / n) * l, n)
+
+
+def _odd_circulant():
+    return Generator(dense=_circulant(_sw_generator_band(7)), label="odd")
+
+
+def _one_ulp_off_sw():
+    l = sw_shift_generator(16).dense.copy()
+    l[3, 5] = np.nextafter(l[3, 5], np.inf)
+    return Generator(dense=l, label="sw one ulp off")
+
+
+def _low_rank():
+    rng = SeededRng(48)
+    return Generator(low_rank=(rng.uniform(12, 3), rng.uniform(3, 12)))
+
+
+CIRCULANTS = [sw_shift_generator(d) for d in (8, 12, 20, 64)] + [_odd_circulant()]
+
+
+class TestCirculantPower:
+    """Exactly circulant generators are powered in Fourier space."""
+
+    @pytest.mark.parametrize("gen", CIRCULANTS, ids=lambda g: g.label)
+    @pytest.mark.parametrize("z", [0.0, 2.0, -2.3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
+    def test_matches_dense_power(self, gen, z, n):
+        m = approx_group_element(gen, z, n).matrix
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        assert np.abs(m - dense_power(gen, z, n)).max() <= 1e-11
+        if z == 0.0:
+            assert np.array_equal(m, np.eye(gen.d))
+
+    def test_matches_dense_power_d1024(self):
+        gen = sw_shift_generator(1024)
+        m = approx_group_element(gen, -2.3, 1024).matrix
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        assert np.abs(m - dense_power(gen, -2.3, 1024)).max() <= 1e-11
+
+    @pytest.mark.parametrize("gen", [
+        sw_rotation_generator(7, 7),
+        Generator(dense=SeededRng(47).uniform(10, 10), label="random dense"),
+        _low_rank(),
+        _one_ulp_off_sw(),
+    ], ids=lambda g: g.label or "low rank")
+    def test_other_generators_bit_identical_to_dense_power(self, gen):
+        for z, n in ((2.0, 5), (-2.3, 64)):
+            assert np.array_equal(approx_group_element(gen, z, n).matrix,
+                                  dense_power(gen, z, n))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_step_count_must_be_an_integer(self, n):
+        with pytest.raises(LconvError):
+            approx_group_element(sw_shift_generator(8), 2.0, n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_step_count_at_least_one(self, n):
+        with pytest.raises(DimensionError):
+            approx_group_element(sw_shift_generator(8), 2.0, n)
 
 
 def stack_transport(gen, eps, n):

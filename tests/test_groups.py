@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lconv.groups import (EdgeTopology, UnsupportedSizeError,
+from lconv.groups import (EdgeTopology, UnsupportedSizeError, _circulant,
                           analytic_generator, assemble_generator_from_edges,
                           image_coords, lie_bracket, rotation_matrix_bilinear,
                           sw_rotation_generator, sw_shift_generator,
@@ -62,6 +62,16 @@ class TestSwShift:
             sw_shift_matrix(9, 0.5)
         with pytest.raises(UnsupportedSizeError):
             sw_shift_generator(9)
+
+
+class TestCirculant:
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 1024])
+    def test_bits_match_loop_reference(self, d):
+        band = SeededRng(d).uniform(d, 1).ravel()
+        loop = np.array([[band[(i - j) % d] for j in range(d)] for i in range(d)])
+        c = _circulant(band)
+        assert c.dtype == np.float64 and c.flags.c_contiguous
+        assert np.array_equal(c, loop)
 
 
 class TestSwGenerator:
