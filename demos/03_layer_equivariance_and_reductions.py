@@ -2,8 +2,9 @@
 
 A layer whose generators commute with a transformation is exactly
 equivariant under it.  With integer-shift anchors the reference group
-convolution is a circular CNN; with a normalized adjacency as the single
-generator and no residual path the layer is a graph convolution update.
+convolution is a circular CNN; with the single generator P - I for a
+normalized adjacency P, the residual form f W0 + (P - I) f W0 is the graph
+convolution update P f W0.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ taps = rng.uniform(4, 1).ravel()
 print(f"   taps {np.round(taps, 3)}: max gap = "
       f"{cnn_equivalence_check(taps, d, f=rng.uniform(d, 1)):.2e}")
 
-print("== GCN update as a single-generator layer without residual ==")
+print("== GCN update as the layer with generator P - I ==")
 n = 7
 a = (rng.uniform(n, n) > 0.25).astype(float)
 a = np.triu(a, 1)

@@ -204,7 +204,8 @@ def cmd_train(cfg, args):
 
 def cmd_eval(cfg, args):
     _take(cfg, ("checkpoint", "data_dir", "out_dir"), required=("checkpoint", "data_dir"))
-    layer, manifest = load_checkpoint(cfg["checkpoint"])
+    with _config_errors():
+        layer, manifest = load_checkpoint(cfg["checkpoint"])
     if manifest["extra"].get("head"):
         raise ConfigError(f"{cfg['checkpoint']} is an angle-regression checkpoint; "
                           "eval scores fixed-angle checkpoints only")

@@ -42,8 +42,9 @@ import numpy as np
 from .groups import (_bilinear_resample, rotation_matrix_bilinear,
                      sw_rotation_generator)
 from .layer import LConvLayer, load_checkpoint, materialize, save_checkpoint
-from .numerics import (LconvError, SeededRng, check_value, cosine_correlation,
-                       least_squares_solve, read_matrix, write_matrix)
+from .numerics import (FormatError, LconvError, SeededRng, check_value,
+                       cosine_correlation, least_squares_solve, read_matrix,
+                       write_matrix)
 
 
 class NonFiniteGradientError(LconvError):
@@ -243,6 +244,8 @@ def load_train_state(directory):
     """Inverse of save_train_state: (layer, params, state, start_epoch)."""
     layer, manifest = load_checkpoint(directory)
     extra = manifest["extra"]
+    if not all(type(extra.get(k)) is int for k in ("epoch", "adam_t")):
+        raise FormatError(f"{directory}: manifest extra lacks an integer epoch or adam_t")
     params = {"gen": np.array(materialize(layer.generators[0]))}
     if not layer.scalar_eps:
         params["eps"] = np.array(layer.eps[0])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import DimensionError, LconvError, as_matrix
+from .numerics import DimensionError, LconvError
 
 
 class UnsupportedSizeError(LconvError):
@@ -263,57 +263,3 @@ def analytic_generator(kind, n=2, index=0):
         return (Generator(dense=l, label=f"t_{n}[{index}]"),
                 lambda x, e=e: e.copy())
     raise DimensionError(f"unknown analytic generator kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class EdgeTopology:
-    """Directed edge set over d nodes with its node x edge incidence matrix."""
-    n_nodes: int
-    edges: tuple  # of (start, end) pairs
-
-    @property
-    def incidence(self):
-        b = np.zeros((self.n_nodes, len(self.edges)))
-        for a, (start, end) in enumerate(self.edges):
-            b[start, a] = 1.0
-            b[end, a] = -1.0
-        return b
-
-    @staticmethod
-    def path(n):
-        return EdgeTopology(n, tuple((i, i + 1) for i in range(n - 1)))
-
-    @staticmethod
-    def ring(n, both_directions=True):
-        edges = [(i, (i + 1) % n) for i in range(n)]
-        if both_directions:
-            edges += [(i, (i - 1) % n) for i in range(n)]
-        return EdgeTopology(n, tuple(edges))
-
-
-def assemble_generator_from_edges(topo, edge_weights):
-    """Build a dense generator from per-edge weights: a first-difference stencil.
-
-    Edge (start, end) with weight w contributes w * (f_end - f_start) to the
-    output at `start`, so every row sums to zero and constants are
-    annihilated exactly.
-    """
-    w = np.asarray(edge_weights, dtype=np.float64).ravel()
-    if w.size != len(topo.edges):
-        raise DimensionError(
-            f"{len(topo.edges)} edges but {w.size} weights")
-    l = np.zeros((topo.n_nodes, topo.n_nodes))
-    for a, (start, end) in enumerate(topo.edges):
-        l[start, end] += w[a]
-        l[start, start] -= w[a]
-    return Generator(dense=l, label="edge-assembled")
-
-
-def lie_bracket(a, b):
-    """Matrix commutator [A, B] = AB - BA of two generators' dense forms."""
-    from .layer import materialize
-    ma = materialize(a) if isinstance(a, Generator) else as_matrix(a)
-    mb = materialize(b) if isinstance(b, Generator) else as_matrix(b)
-    if ma.shape != mb.shape or ma.shape[0] != ma.shape[1]:
-        raise DimensionError(f"bracket needs equal square shapes, got {ma.shape}, {mb.shape}")
-    return ma @ mb - mb @ ma

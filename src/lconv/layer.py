@@ -34,9 +34,6 @@ Each product is computed once, and only when its result is read:
 - Lazy dW0.  `LayerGradients.dW0` and the sum A = f + sum_i (L_i f)
   (eps^i)^T it needs are computed on first read; training with W0
   frozen never pays for them.
-
-An optional channel-wise affine + tanh head can follow the map; acting on
-channels only, it does not disturb equivariance.
 """
 
 import json
@@ -48,7 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .groups import Generator, GroupElement
-from .numerics import DimensionError, as_matrix, read_matrix, write_matrix
+from .numerics import (DimensionError, FormatError, as_matrix, read_matrix,
+                       write_matrix)
 
 
 def materialize(gen):
@@ -74,7 +72,6 @@ class LayerGradients:
     d_eps: list
     d_generators: list   # dense arrays, or (dU, dV) pairs for low-rank
     d_input: np.ndarray
-    d_bias: np.ndarray | None
     _dw0: Callable = field(repr=False)
 
     @cached_property
@@ -87,14 +84,11 @@ class LayerGradients:
 class LConvLayer:
     """Parameter container + forward/backward for one L-conv layer."""
 
-    def __init__(self, w0, eps, generators, scalar_eps=False,
-                 include_residual=True, bias=None):
+    def __init__(self, w0, eps, generators, scalar_eps=False):
         self.w0 = as_matrix(w0)
         self.scalar_eps = scalar_eps
         self.eps = [float(e) for e in eps] if scalar_eps else [as_matrix(e) for e in eps]
         self.generators = list(generators)
-        self.include_residual = include_residual
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64).ravel()
         self._check_shapes()
 
     def _check_shapes(self):
@@ -110,8 +104,6 @@ class LConvLayer:
         ds = {g.d if isinstance(g, Generator) else g.shape[0] for g in self.generators}
         if len(ds) > 1:
             raise DimensionError(f"generators disagree on grid size: {sorted(ds)}")
-        if self.bias is not None and self.bias.size != self.w0.shape[1]:
-            raise DimensionError("bias length must equal m_out")
 
     @property
     def n_generators(self):
@@ -133,7 +125,7 @@ class LConvLayer:
         return g.d if isinstance(g, Generator) else g.shape[0]
 
     @classmethod
-    def init(cls, rng, d, m_in, m_out, n_generators=1, scalar_eps=False, **kw):
+    def init(cls, rng, d, m_in, m_out, n_generators=1, scalar_eps=False):
         """Random init: W0 ~ U(+-1/sqrt(m_in)), eps ~ U(+-0.1/n_L),
         generators ~ U(+-1/sqrt(d)); keeps the generator term a
         perturbation of the residual path."""
@@ -146,7 +138,7 @@ class LConvLayer:
         gens = [Generator(dense=rng.uniform_signed(1.0 / np.sqrt(d), (d, d)),
                           label=f"learned[{i}]")
                 for i in range(n_generators)]
-        return cls(w0, eps, gens, scalar_eps=scalar_eps, **kw)
+        return cls(w0, eps, gens, scalar_eps=scalar_eps)
 
     # -- forward ---------------------------------------------------------
 
@@ -187,28 +179,22 @@ class LConvLayer:
         f = self._input(f)
         rows = f.reshape(-1, self.m_in)
         identity = _is_identity(self.w0)
-        if not self.include_residual:
-            out = np.zeros((rows.shape[0], self.m_out))
-        else:
-            out = rows if identity else rows @ self.w0
+        out = rows if identity else rows @ self.w0
         for i in range(self.n_generators):
             lfi = self._gen_apply(i, f.reshape(f.shape[0], -1)).reshape(rows.shape)
             if lf is not None:
                 lf.append(lfi)
             out = out + self._mixed(i, lfi, identity)
-        if self.bias is not None:
-            out = np.tanh(out + self.bias)
         out = rows.copy() if out is rows else out   # never a view of the input
         return out.reshape(f.shape[:-1] + (self.m_out,)).swapaxes(0, -2)
 
     # -- backward --------------------------------------------------------
 
-    def backward(self, f, upstream, out=None, lf=None):
+    def backward(self, f, upstream, lf=None):
         """Gradients of sum(upstream * forward(f)) w.r.t. all parameters and f.
 
-        `upstream` is dLoss/dOutput with the same shape as forward(f);
-        pass `out` to reuse a stored forward value when the tanh head is on,
-        and `lf`, the list `forward(f, lf)` filled, to reuse its L_i f.
+        `upstream` is dLoss/dOutput with the same shape as forward(f); pass
+        `lf`, the list `forward(f, lf)` filled, to reuse its L_i f.
         """
         expected = np.shape(f)[:-1] + (self.m_out,)
         f = self._input(f)
@@ -220,30 +206,22 @@ class LConvLayer:
         g = np.ascontiguousarray(np.swapaxes(upstream, 0, -2),
                                  dtype=np.float64).reshape(-1, self.m_out)
         identity = _is_identity(self.w0)
-
-        d_bias = None
-        if self.bias is not None:
-            o = out if out is not None else self.forward(f.swapaxes(0, -2))
-            o = np.swapaxes(o, 0, -2).reshape(g.shape)
-            g = g * (1.0 - o * o)
-            d_bias = g.sum(axis=0)
-
         if lf is None:
             lf = [self._gen_apply(i, grid).reshape(rows.shape)
                   for i in range(self.n_generators)]
-        residual, scalar = self.include_residual, self.scalar_eps
+        scalar = self.scalar_eps
         eps = [e if scalar else e.copy() for e in self.eps]
 
         def dw0():
-            # out = A @ W0 with A = [f +] sum_i (L_i f) E_i
-            a = rows if residual else np.zeros_like(rows)
+            # out = A @ W0 with A = f + sum_i (L_i f) E_i
+            a = rows
             for lfi, e in zip(lf, eps):
                 a = a + (e * lfi if scalar else lfi @ e.T)
             return a.T @ g
 
         da = g if identity else g @ self.w0.T
         d_eps, d_gens = [], []
-        d_in = (da if residual else np.zeros_like(da)).reshape(d, -1)
+        d_in = da.reshape(d, -1)
         for i, gen in enumerate(self.generators):
             if scalar:
                 d_eps.append(float(np.sum(lf[i] * da)))
@@ -263,7 +241,7 @@ class LConvLayer:
         d_in = d_in if self.generators else d_in.copy()
         return LayerGradients(d_eps=d_eps, d_generators=d_gens,
                               d_input=d_in.reshape(f.shape).swapaxes(0, -2),
-                              d_bias=d_bias, _dw0=dw0)
+                              _dw0=dw0)
 
 
 def recursive_apply(f, layer, t):
@@ -310,15 +288,15 @@ def gcn_propagation_matrix(adjacency):
 
 
 def gcn_reduction_check(f, propagation, w):
-    """Max-abs gap between a residual-free single-generator L-conv and the
-    graph-convolution update L f W^T; algebraically zero."""
+    """Max-abs gap between the graph-convolution update P f W^T and the
+    layer with generator P - I in the residual form, eps = I and W0 = W^T,
+    whose map is f W0 + (P - I) f W0 = P f W0; algebraically zero."""
     values = as_matrix(f)
-    l = materialize(propagation)
+    p = materialize(propagation)
     w = as_matrix(w)                      # m_out x m_in
     layer = LConvLayer(w0=w.T, eps=[np.eye(w.shape[1])],
-                       generators=[Generator(dense=l, label="gcn")],
-                       include_residual=False)
-    direct = l @ values @ w.T
+                       generators=[p - np.eye(p.shape[0])])
+    direct = p @ values @ w.T
     return float(np.abs(layer.forward(values) - direct).max())
 
 
@@ -341,16 +319,12 @@ def save_checkpoint(layer, directory, extra=None):
             write_matrix(os.path.join(directory, f"gen_{i}.mat"), materialize(g))
             gens.append({"form": "dense",
                          "label": g.label if isinstance(g, Generator) else ""})
-    if layer.bias is not None:
-        write_matrix(os.path.join(directory, "bias.mat"), layer.bias[None, :])
     manifest = {
         "m_in": layer.m_in,
         "m_out": layer.m_out,
         "d": layer.d,
         "n_generators": layer.n_generators,
         "scalar_eps": layer.scalar_eps,
-        "include_residual": layer.include_residual,
-        "has_bias": layer.bias is not None,
         "generators": gens,
         "extra": extra or {},
     }
@@ -358,10 +332,34 @@ def save_checkpoint(layer, directory, extra=None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _read_manifest(directory):
+    """A checkpoint's manifest.json, checked to describe a layer that
+    loads as it was saved; raises FormatError if it does not."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path, "rb") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path} holds no JSON object")
+    for key, kind in (("scalar_eps", bool), ("generators", list), ("extra", dict)):
+        if not isinstance(manifest.get(key), kind):
+            raise FormatError(f"{path}: {key!r} is missing or not a {kind.__name__}")
+    for desc in manifest["generators"]:
+        if not (isinstance(desc, dict) and desc.get("form") in ("dense", "low_rank")
+                and isinstance(desc.get("label"), str)):
+            raise FormatError(f"{path}: bad generator entry {desc!r}")
+    # older manifests record the layer form; only the residual one loads
+    if manifest.get("has_bias", False) or not manifest.get("include_residual", True):
+        raise FormatError(f"{path} holds a layer with a tanh head or no residual path")
+    return manifest
+
+
 def load_checkpoint(directory):
-    """Inverse of save_checkpoint; returns (layer, manifest dict)."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    """Inverse of save_checkpoint; returns (layer, manifest dict).  A
+    malformed manifest raises FormatError; a missing file, OSError."""
+    manifest = _read_manifest(directory)
     w0 = read_matrix(os.path.join(directory, "W0.mat"))
     eps = []
     gens = []
@@ -376,13 +374,4 @@ def load_checkpoint(directory):
             gens.append(Generator(
                 dense=read_matrix(os.path.join(directory, f"gen_{i}.mat")),
                 label=desc["label"]))
-    bias = None
-    if manifest["has_bias"]:
-        bias = read_matrix(os.path.join(directory, "bias.mat")).ravel()
-    layer = LConvLayer(
-        w0, eps, gens,
-        scalar_eps=manifest["scalar_eps"],
-        include_residual=manifest["include_residual"],
-        bias=bias,
-    )
-    return layer, manifest
+    return LConvLayer(w0, eps, gens, scalar_eps=manifest["scalar_eps"]), manifest

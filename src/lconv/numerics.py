@@ -34,8 +34,9 @@ class SingularSystemError(LconvError):
 
 
 class FormatError(LconvError):
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message, offset=None):
+        super().__init__(message if offset is None
+                         else f"{message} (byte offset {offset})")
         self.offset = offset
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -277,6 +278,49 @@ class TestEval:
                               "out_dir": str(tmp_path / "evalout")})
         assert run("eval", "--config", eval_cfg) == 4
         assert not (tmp_path / "evalout").exists()
+
+
+# each edit turns a checkpoint's manifest dict into the text written back
+MANIFEST_EDITS = {
+    "not-json": lambda m: json.dumps(m)[:-1],
+    "missing-key": lambda m: json.dumps({k: v for k, v in m.items() if k != "generators"}),
+    "wrong-type": lambda m: json.dumps(dict(m, scalar_eps="yes")),
+    "unknown-form": lambda m: json.dumps(
+        dict(m, generators=[dict(m["generators"][0], form="sparse")])),
+    "tanh-head": lambda m: json.dumps(dict(m, has_bias=True)),
+    "no-residual": lambda m: json.dumps(dict(m, include_residual=False)),
+    "no-epoch": lambda m: json.dumps(
+        dict(m, extra={k: v for k, v in m["extra"].items() if k != "epoch"})),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A fixed-angle data directory and a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    for command, out, cfg in (("gen-data", "data", FIXED),
+                              ("train", "run", dict(FIXED, optimizer=OPT))):
+        path = write_cfg(root / f"{out}.json", dict(cfg, out_dir=str(root / out)))
+        assert run(command, "--config", path) == 0
+    return root
+
+
+@pytest.mark.parametrize("command, edit", [
+    *(("eval", e) for e in MANIFEST_EDITS if e != "no-epoch"),
+    *(("resume", e) for e in MANIFEST_EDITS),
+])
+def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command, edit):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(trained / "run" / "checkpoint", ckpt)
+    manifest = json.load(open(ckpt / "manifest.json"))
+    (ckpt / "manifest.json").write_text(MANIFEST_EDITS[edit](manifest))
+    if command == "eval":
+        cfg = {"checkpoint": str(ckpt), "data_dir": str(trained / "data")}
+    else:
+        command, cfg = "train", dict(FIXED, optimizer=OPT, resume=str(ckpt))
+    path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+    assert run(command, "--config", path) == 2
+    assert not (tmp_path / "out").exists()
 
 
 class TestApprox:

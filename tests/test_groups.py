@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from lconv.groups import (EdgeTopology, UnsupportedSizeError, _circulant,
-                          analytic_generator, assemble_generator_from_edges,
-                          image_coords, lie_bracket, rotation_matrix_bilinear,
+from lconv.groups import (UnsupportedSizeError, _circulant, analytic_generator,
+                          image_coords, rotation_matrix_bilinear,
                           sw_rotation_generator, sw_shift_generator,
                           sw_shift_matrix)
 from lconv.numerics import SeededRng, cosine_correlation
@@ -200,64 +199,3 @@ class TestAnalyticGenerators:
         gen, fld = analytic_generator("scaling")
         assert np.array_equal(gen.dense, np.eye(2))
         assert np.allclose(fld((2.0, 3.0)), [2.0, 3.0])
-
-
-class TestEdgeAssembly:
-    def test_path_forward_difference(self):
-        topo = EdgeTopology.path(3)
-        l = assemble_generator_from_edges(topo, [1.0, 1.0]).dense
-        expected = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
-        assert np.array_equal(l, expected)
-        assert np.abs(l.sum(axis=1)).max() == 0.0
-
-    def test_ring_central_difference_matches_sw_leading_band(self):
-        d = 32
-        topo = EdgeTopology.ring(d)
-        w = np.concatenate([np.full(d, 0.5), np.full(d, -0.5)])
-        l = assemble_generator_from_edges(topo, w).dense
-        sw = sw_shift_generator(d).dense
-        # long-range tail of the band-limited derivative caps the overlap
-        assert cosine_correlation(l, sw) > 0.8
-        assert cosine_correlation(
-            assemble_generator_from_edges(EdgeTopology.ring(8),
-                                          np.concatenate([np.full(8, 0.5),
-                                                          np.full(8, -0.5)])).dense,
-            sw_shift_generator(8).dense) > 0.9
-
-    def test_zero_weights_zero_matrix(self):
-        topo = EdgeTopology.ring(6)
-        assert np.abs(assemble_generator_from_edges(topo, np.zeros(12)).dense).max() == 0.0
-
-    def test_annihilates_constants_exactly(self):
-        rng = SeededRng(12)
-        topo = EdgeTopology.ring(10)
-        l = assemble_generator_from_edges(topo, rng.uniform(20, 1).ravel()).dense
-        assert np.abs(l @ np.ones(10)).max() == 0.0
-
-    def test_incidence_columns(self):
-        b = EdgeTopology.path(4).incidence
-        assert ((b == 1).sum(axis=0) == 1).all()
-        assert ((b == -1).sum(axis=0) == 1).all()
-
-
-class TestLieBracket:
-    def test_self_bracket_zero(self):
-        rng = SeededRng(13)
-        a = rng.uniform(5, 5)
-        assert np.abs(lie_bracket(a, a)).max() == 0.0
-
-    def test_rotation_scaling_commute(self):
-        so2, _ = analytic_generator("so2")
-        scal, _ = analytic_generator("scaling")
-        assert np.abs(lie_bracket(so2, scal)).max() == 0.0
-
-    def test_one_hot_bracket(self):
-        e12 = np.zeros((2, 2)); e12[0, 1] = 1.0
-        e21 = np.zeros((2, 2)); e21[1, 0] = 1.0
-        assert np.array_equal(lie_bracket(e12, e21), np.diag([1.0, -1.0]))
-
-    def test_antisymmetric(self):
-        rng = SeededRng(14)
-        a, b = rng.uniform(4, 4), rng.uniform(4, 4)
-        assert np.abs(lie_bracket(a, b) + lie_bracket(b, a)).max() < 1e-14
-
