@@ -27,9 +27,10 @@ import numpy as np
 from . import __version__
 from .approx import shift_approx_sweep
 from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
-                        TrainingDivergedError, gen_angle_pairs_dataset,
-                        gen_fixed_angle_dataset, load_resume,
-                        train_angle_regression, train_fixed_angle)
+                        TrainingDivergedError, _eval_linear,
+                        gen_angle_pairs_dataset, gen_fixed_angle_dataset,
+                        load_train_state, train_angle_regression,
+                        train_fixed_angle)
 from .fieldtheory import (FieldSample, FieldTheoryTerms, field_terms,
                           helmholtz_convergence, mse_loss_decomposed,
                           mse_loss_direct)
@@ -185,7 +186,7 @@ def cmd_train(cfg, args):
         raise ConfigError(f"the least-squares oracle needs n_train >= d = {task.d}")
     if "resume" in cfg:
         with _config_errors():
-            load_resume(task, cfg["resume"])
+            load_train_state(task, cfg["resume"])
     out_dir = _echo_run("train", dict(cfg, seed=task.seed))
     train = train_fixed_angle if fixed else train_angle_regression
     try:
@@ -206,16 +207,16 @@ def cmd_eval(cfg, args):
     _take(cfg, ("checkpoint", "data_dir", "out_dir"), required=("checkpoint", "data_dir"))
     with _config_errors():
         layer, manifest = load_checkpoint(cfg["checkpoint"])
-    if manifest["extra"].get("head"):
-        raise ConfigError(f"{cfg['checkpoint']} is an angle-regression checkpoint; "
-                          "eval scores fixed-angle checkpoints only")
+    if manifest["extra"].get("head") or layer.w0.shape != (1, 1):
+        raise ConfigError(f"{cfg['checkpoint']} (W0 {layer.w0.shape}, head "
+                          f"{manifest['extra'].get('head')!r}) is no fixed-angle "
+                          "checkpoint (1 x 1 W0, no head), the only kind eval scores")
     x = read_matrix(os.path.join(cfg["data_dir"], "X_test.mat"))
     y = read_matrix(os.path.join(cfg["data_dir"], "Y_test.mat"))
-    if x.shape != y.shape or x.shape[0] != layer.d:
+    if x.shape != y.shape or x.shape[0] != layer.d or not x.size:
         raise ConfigError(f"X_test {x.shape}, Y_test {y.shape} do not fit d = {layer.d}")
     out_dir = _echo_run("eval", cfg)
-    pred = layer.forward(x.T[:, :, None])
-    mse = float(np.mean((pred - y.T[:, :, None]) ** 2))
+    mse = _eval_linear(layer, x, y)
     _write_json(os.path.join(out_dir, "eval.json"),
                 {"test_mse": mse, "checkpoint_epoch": manifest["extra"].get("epoch")})
     print(f"test_mse {mse:.6e}")

@@ -32,7 +32,6 @@ permutations of the epochs it skips, so it continues the unbroken run
 bit for bit.
 """
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -220,51 +219,21 @@ def _safe_corr(a, b):
     return cosine_correlation(a, b)
 
 
-def save_train_state(directory, layer, params, state, next_epoch, head_names=()):
-    """Layer checkpoint plus optimizer moments, enough to resume exactly."""
+def save_train_state(directory, layer, params, state, next_epoch):
+    """Layer checkpoint plus the head (every parameter but gen and eps) and
+    the optimizer moments, enough to resume exactly."""
+    head = [k for k in params if k not in ("gen", "eps")]
     extra = {"epoch": int(next_epoch),
-             "adam_t": int(state["t"]) if state else 0,
-             "head": list(head_names)}
+             "adam_t": int(state["t"]) if state else 0, "head": head}
     save_checkpoint(layer, directory, extra=extra)
-    for name in head_names:
+    for name in head:
         write_matrix(os.path.join(directory, f"head_{name}.mat"),
                      np.atleast_2d(params[name]))
-    with open(os.path.join(directory, "param_shapes.json"), "w") as fh:
-        json.dump({k: list(np.shape(v)) for k, v in params.items()},
-                  fh, sort_keys=True)
     if state:
         for name in params:
-            write_matrix(os.path.join(directory, f"adam_m_{name}.mat"),
-                         np.atleast_2d(state["m"][name]))
-            write_matrix(os.path.join(directory, f"adam_v_{name}.mat"),
-                         np.atleast_2d(state["v"][name]))
-
-
-def load_train_state(directory):
-    """Inverse of save_train_state: (layer, params, state, start_epoch)."""
-    layer, manifest = load_checkpoint(directory)
-    extra = manifest["extra"]
-    if not all(type(extra.get(k)) is int for k in ("epoch", "adam_t")):
-        raise FormatError(f"{directory}: manifest extra lacks an integer epoch or adam_t")
-    params = {"gen": np.array(materialize(layer.generators[0]))}
-    if not layer.scalar_eps:
-        params["eps"] = np.array(layer.eps[0])
-    for name in extra.get("head", []):
-        params[name] = read_matrix(os.path.join(directory, f"head_{name}.mat"))
-    state = None
-    with open(os.path.join(directory, "param_shapes.json")) as fh:
-        shapes = json.load(fh)
-    for name, shape in shapes.items():
-        if name in params:
-            params[name] = params[name].reshape(shape)
-    if os.path.exists(os.path.join(directory, "adam_m_gen.mat")):
-        state = {"t": extra["adam_t"], "m": {}, "v": {}}
-        for name, shape in shapes.items():
-            state["m"][name] = read_matrix(
-                os.path.join(directory, f"adam_m_{name}.mat")).reshape(shape)
-            state["v"][name] = read_matrix(
-                os.path.join(directory, f"adam_v_{name}.mat")).reshape(shape)
-    return layer, params, state, extra["epoch"]
+            for moment in ("m", "v"):
+                write_matrix(os.path.join(directory, f"adam_{moment}_{name}.mat"),
+                             np.atleast_2d(state[moment][name]))
 
 
 def _init_params(task):
@@ -275,25 +244,46 @@ def _init_params(task):
     return _angle_params(task, rng)
 
 
-def load_resume(task, directory):
-    """`load_train_state(directory)`, checked to hold the parameters
-    `task`'s model trains, by name and shape; raises LconvError if not."""
-    loaded = load_train_state(directory)
-    got = {k: np.shape(v) for k, v in loaded[1].items()}
-    want = {k: np.shape(v) for k, v in _init_params(task).items()}
-    if got != want:
-        raise LconvError(f"checkpoint {directory} holds parameters {got}, "
-                         f"the task trains {want}")
-    return loaded
+def load_train_state(task, directory):
+    """Inverse of save_train_state for `task`'s model: (params, Adam
+    state or None, first epoch).  The task declares each parameter's name
+    and shape; an array that does not fit it, or a checkpoint of another
+    model, raises LconvError."""
+    layer, manifest = load_checkpoint(directory)
+    extra = manifest["extra"]
+    if not all(type(extra.get(k)) is int for k in ("epoch", "adam_t")):
+        raise FormatError(f"{directory}: manifest extra lacks an integer epoch or adam_t")
+    like = _init_params(task)
+    head = [k for k in like if k not in ("gen", "eps")]
+    if (layer.n_generators != 1 or layer.scalar_eps == ("eps" in like)
+            or extra.get("head", []) != head):
+        raise LconvError(f"{directory} holds no checkpoint of the "
+                         f"{type(task).__name__} model")
+
+    saved = {"gen": materialize(layer.generators[0]), "eps": layer.eps[0]}
+
+    def read(name, file):
+        """Parameter `name` from `file`, or from the layer when file is None,
+        checked to have the task's shape as save_train_state writes it."""
+        a = saved[name] if file is None else read_matrix(os.path.join(directory, file))
+        if np.shape(a) != np.atleast_2d(like[name]).shape:
+            raise FormatError(f"{directory}: {file or name} has shape {np.shape(a)}, "
+                              f"the task's {name} {np.shape(like[name])}")
+        return a.reshape(np.shape(like[name]))
+
+    params = {k: read(k, None if k in saved else f"head_{k}.mat") for k in like}
+    state = None
+    if os.path.exists(os.path.join(directory, "adam_m_gen.mat")):
+        state = {"t": extra["adam_t"], **{
+            m: {k: read(k, f"adam_{m}_{k}.mat") for k in like} for m in ("m", "v")}}
+    return params, state, extra["epoch"]
 
 
 def _start(task, resume_dir, opt):
     """(params, optimizer state, first epoch): fresh parameters at epoch 0,
     or a checkpoint's; Adam moments start at zero when absent."""
-    if resume_dir:
-        _, params, state, start_epoch = load_resume(task, resume_dir)
-    else:
-        params, state, start_epoch = _init_params(task), None, 0
+    params, state, start_epoch = (load_train_state(task, resume_dir) if resume_dir
+                                  else (_init_params(task), None, 0))
     if opt.kind == "adam":
         state = adam_init(params, state)
     return params, state, start_epoch
@@ -489,9 +479,6 @@ def _angle_backward(params, layer, y, theta, pred, stash):
             "v2": dv2, "b2": db2}
 
 
-_HEAD_NAMES = ("v1", "b1", "v2", "b2")
-
-
 def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
     t0 = time.perf_counter()
@@ -522,8 +509,7 @@ def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     report.arrays = {"generator": params["gen"].copy(),
                      "eps": params["eps"].copy()}
     if checkpoint_dir:
-        save_train_state(checkpoint_dir, layer, params, state, opt.epochs,
-                         head_names=_HEAD_NAMES)
+        save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
     report.wall_clock_sec = time.perf_counter() - t0
     return report
 

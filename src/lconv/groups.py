@@ -90,10 +90,15 @@ class Generator:
                     f"low-rank inner dimensions differ: {u.shape} vs {v.shape}")
 
     @property
-    def d(self):
+    def shape(self):
+        """Shape of the dense form, without forming it."""
         if self.dense is not None:
-            return self.dense.shape[0]
-        return self.low_rank[0].shape[0]
+            return self.dense.shape
+        return self.low_rank[0].shape[0], self.low_rank[1].shape[1]
+
+    @property
+    def d(self):
+        return self.shape[0]
 
 
 def _check_even(d, who):

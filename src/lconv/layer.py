@@ -101,9 +101,9 @@ class LConvLayer:
         if len(self.eps) != len(self.generators):
             raise DimensionError(
                 f"{len(self.eps)} eps blocks vs {len(self.generators)} generators")
-        ds = {g.d if isinstance(g, Generator) else g.shape[0] for g in self.generators}
-        if len(ds) > 1:
-            raise DimensionError(f"generators disagree on grid size: {sorted(ds)}")
+        shapes = [g.shape for g in self.generators]   # array or Generator
+        if any(s != (shapes[0][0],) * 2 for s in shapes):
+            raise DimensionError(f"generators are not all d x d for one d: {shapes}")
 
     @property
     def n_generators(self):
@@ -119,10 +119,7 @@ class LConvLayer:
 
     @property
     def d(self):
-        if not self.generators:
-            return None
-        g = self.generators[0]
-        return g.d if isinstance(g, Generator) else g.shape[0]
+        return self.generators[0].shape[0] if self.generators else None
 
     @classmethod
     def init(cls, rng, d, m_in, m_out, n_generators=1, scalar_eps=False):
@@ -319,15 +316,8 @@ def save_checkpoint(layer, directory, extra=None):
             write_matrix(os.path.join(directory, f"gen_{i}.mat"), materialize(g))
             gens.append({"form": "dense",
                          "label": g.label if isinstance(g, Generator) else ""})
-    manifest = {
-        "m_in": layer.m_in,
-        "m_out": layer.m_out,
-        "d": layer.d,
-        "n_generators": layer.n_generators,
-        "scalar_eps": layer.scalar_eps,
-        "generators": gens,
-        "extra": extra or {},
-    }
+    manifest = {"scalar_eps": layer.scalar_eps, "generators": gens,
+                "extra": extra or {}}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -364,7 +354,10 @@ def load_checkpoint(directory):
     eps = []
     gens = []
     for i, desc in enumerate(manifest["generators"]):
-        e = read_matrix(os.path.join(directory, f"eps_{i}.mat"))
+        path = os.path.join(directory, f"eps_{i}.mat")
+        e = read_matrix(path)
+        if manifest["scalar_eps"] and e.shape != (1, 1):
+            raise FormatError(f"{path} holds a {e.shape} matrix, not a scalar eps")
         eps.append(float(e[0, 0]) if manifest["scalar_eps"] else e)
         if desc["form"] == "low_rank":
             u = read_matrix(os.path.join(directory, f"gen_{i}_U.mat"))

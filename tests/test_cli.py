@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from lconv.cli import main
@@ -194,6 +195,37 @@ class TestTrain:
         curve = json.load(open(tmp_path / "resumed" / "report.json"))["loss_curve"]
         assert [row[0] for row in curve] == [2, 3]
 
+    def test_resume_from_older_checkpoint_format(self, tmp_path):
+        # checkpoints of earlier versions also hold a JSON file of the
+        # parameter shapes and the manifest keys m_in, m_out, d and
+        # n_generators; neither is read, and the run resumes exactly
+        def train(out, epochs, **extra):
+            path = write_cfg(tmp_path / f"{out}.json", dict(
+                ANGLE, optimizer=dict(OPT, epochs=epochs),
+                out_dir=str(tmp_path / out), **extra))
+            assert run("train", "--config", path) == 0
+
+        train("full", 2)
+        train("short", 1)
+        ckpt = tmp_path / "short" / "checkpoint"
+        (ckpt / "param_shapes.json").write_text(json.dumps(
+            {"b1": [5], "b2": [1], "eps": [10, 10], "gen": [49, 49],
+             "v1": [10, 5], "v2": [5, 1]}))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest.update(m_in=10, m_out=10, d=49, n_generators=1)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        train("resumed", 2, resume=str(ckpt))
+        assert (file_sha(tmp_path / "resumed" / "generator.mat")
+                == file_sha(tmp_path / "full" / "generator.mat"))
+
+    def test_checkpoint_holds_no_unread_keys(self, tmp_path):
+        assert run("train", "--config", self._train_cfg(tmp_path, "run")) == 0
+        ckpt = tmp_path / "run" / "checkpoint"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert set(manifest) == {"scalar_eps", "generators", "extra"}
+        assert sorted(os.listdir(ckpt)) == ["W0.mat", "adam_m_gen.mat", "adam_v_gen.mat",
+                                            "eps_0.mat", "gen_0.mat", "manifest.json"]
+
     @pytest.mark.parametrize("saved, cfg, code", [
         (None, FIXED, 4),
         (ANGLE, FIXED, 2),
@@ -236,6 +268,24 @@ class TestEval:
         # --seed, like the seed key, is not read by eval
         assert run("eval", "--config", eval_cfg, "--seed", "1") == 2
 
+    def test_eval_matches_training_report(self, tmp_path):
+        # more than one 4096-sample evaluation chunk; on this split a
+        # whole-array mean differs from the chunked sum in the last bit
+        data = dict(FIXED, n_test=10000, seed=4)
+        for command, out, cfg in (("gen-data", "data", data),
+                                  ("train", "run", dict(data, optimizer=OPT))):
+            path = write_cfg(tmp_path / f"{out}.json",
+                             dict(cfg, out_dir=str(tmp_path / out)))
+            assert run(command, "--config", path) == 0
+        eval_cfg = write_cfg(tmp_path / "e.json",
+                             {"checkpoint": str(tmp_path / "run" / "checkpoint"),
+                              "data_dir": str(tmp_path / "data"),
+                              "out_dir": str(tmp_path / "evalout")})
+        assert run("eval", "--config", eval_cfg) == 0
+        result = json.load(open(tmp_path / "evalout" / "eval.json"))
+        report = json.load(open(tmp_path / "run" / "report.json"))
+        assert result["test_mse"] == report["final_test_mse"]
+
     def test_angle_checkpoint_rejected(self, tmp_path):
         for command, out, cfg in (
                 ("gen-data", "data", {"task": "angle-pairs", "n_train": 40, "n_test": 8}),
@@ -251,9 +301,10 @@ class TestEval:
         assert not (tmp_path / "evalout").exists()
 
     @pytest.mark.parametrize("data, cut", [
-        ({"width": 5, "height": 5}, False),
-        ({}, True),
-    ], ids=["grid-size-differs", "sample-counts-differ"])
+        ({"width": 5, "height": 5}, {}),
+        ({}, {"Y_test.mat": -1}),
+        ({}, {"X_test.mat": 0, "Y_test.mat": 0}),
+    ], ids=["grid-size-differs", "sample-counts-differ", "no-samples"])
     def test_data_not_fitting_checkpoint_rejected_before_writing(self, tmp_path,
                                                                  data, cut):
         for command, out, cfg in (("gen-data", "data", dict(FIXED, **data)),
@@ -261,9 +312,9 @@ class TestEval:
             path = write_cfg(tmp_path / f"{out}.json",
                              dict(cfg, out_dir=str(tmp_path / out)))
             assert run(command, "--config", path) == 0
-        if cut:
-            y = tmp_path / "data" / "Y_test.mat"
-            write_matrix(y, read_matrix(y)[:, :-1])
+        for name, end in cut.items():   # keep the columns before `end`
+            path = tmp_path / "data" / name
+            write_matrix(path, read_matrix(path)[:, :end])
         eval_cfg = write_cfg(tmp_path / "e.json",
                              {"checkpoint": str(tmp_path / "run" / "checkpoint"),
                               "data_dir": str(tmp_path / "data"),
@@ -294,33 +345,78 @@ MANIFEST_EDITS = {
 }
 
 
+def _rewrite_manifest(text):
+    """An edit that writes text(manifest dict) back as manifest.json."""
+    def edit(ckpt):
+        path = ckpt / "manifest.json"
+        path.write_text(text(json.loads(path.read_text())))
+    return edit
+
+
+def _overwrite(name, shape):
+    """An edit that replaces the checkpoint matrix `name` by zeros of `shape`."""
+    return lambda ckpt: write_matrix(ckpt / name, np.zeros(shape))
+
+
+# name: (trained run whose checkpoint is copied, edit of the copy, task resuming it)
+CHECKPOINT_EDITS = {
+    **{name: ("run", _rewrite_manifest(text), FIXED)
+       for name, text in MANIFEST_EDITS.items()},
+    "head-not-list": ("run", _rewrite_manifest(lambda m: json.dumps(
+        dict(m, extra=dict(m["extra"], head=5)))), FIXED),
+    "scalar-eps-0x3": ("run", _overwrite("eps_0.mat", (0, 3)), FIXED),
+    "generator-48x48": ("run", _overwrite("gen_0.mat", (48, 48)), FIXED),
+    "generator-49x3": ("run", _overwrite("gen_0.mat", (49, 3)), FIXED),
+    "w0-2x1": ("run", _overwrite("W0.mat", (2, 1)), FIXED),
+    "head-v1-size": ("run_angle", _overwrite("head_v1.mat", (10, 4)), ANGLE),
+    "adam-m-v1-size": ("run_angle", _overwrite("adam_m_v1.mat", (10, 4)), ANGLE),
+    "angle-into-fixed": ("run_angle", lambda ckpt: None, FIXED),
+}
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A fixed-angle data directory and a checkpoint trained on it."""
+    """A fixed-angle data directory, a checkpoint trained on it, and an
+    angle-regression checkpoint."""
     root = tmp_path_factory.mktemp("trained")
     for command, out, cfg in (("gen-data", "data", FIXED),
-                              ("train", "run", dict(FIXED, optimizer=OPT))):
+                              ("train", "run", dict(FIXED, optimizer=OPT)),
+                              ("train", "run_angle", ANGLE)):
         path = write_cfg(root / f"{out}.json", dict(cfg, out_dir=str(root / out)))
         assert run(command, "--config", path) == 0
     return root
 
 
-@pytest.mark.parametrize("command, edit", [
-    *(("eval", e) for e in MANIFEST_EDITS if e != "no-epoch"),
-    *(("resume", e) for e in MANIFEST_EDITS),
-])
-def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command, edit):
+def _run_on_copy(tmp_path, trained, command, saved, change, task):
+    """Exit code of eval, or of train resuming `task`, on a copy of trained
+    run `saved`'s checkpoint changed by `change`; checks nothing was written."""
     ckpt = tmp_path / "checkpoint"
-    shutil.copytree(trained / "run" / "checkpoint", ckpt)
-    manifest = json.load(open(ckpt / "manifest.json"))
-    (ckpt / "manifest.json").write_text(MANIFEST_EDITS[edit](manifest))
+    shutil.copytree(trained / saved / "checkpoint", ckpt)
+    change(ckpt)
     if command == "eval":
         cfg = {"checkpoint": str(ckpt), "data_dir": str(trained / "data")}
     else:
-        command, cfg = "train", dict(FIXED, optimizer=OPT, resume=str(ckpt))
+        command, cfg = "train", dict(task, optimizer=OPT, resume=str(ckpt))
     path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
-    assert run(command, "--config", path) == 2
+    code = run(command, "--config", path)
     assert not (tmp_path / "out").exists()
+    return code
+
+
+@pytest.mark.parametrize("command, edit", [
+    *(("eval", e) for e in MANIFEST_EDITS if e != "no-epoch"),
+    *(("eval", e) for e in ("scalar-eps-0x3", "generator-49x3", "w0-2x1")),
+    *(("resume", e) for e in CHECKPOINT_EDITS if e != "w0-2x1"),
+])
+def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command, edit):
+    assert _run_on_copy(tmp_path, trained, command, *CHECKPOINT_EDITS[edit]) == 2
+
+
+@pytest.mark.parametrize("command, name", [("eval", "gen_0.mat"),
+                                           ("resume", "adam_v_gen.mat")])
+def test_missing_checkpoint_file_is_io_error(tmp_path, trained, command, name):
+    assert _run_on_copy(tmp_path, trained, command, "run",
+                        lambda ckpt: (ckpt / name).unlink(), FIXED) == 4
 
 
 class TestApprox:

@@ -81,9 +81,8 @@ class TestOptimizers:
             adam_step(params, step, state, cfg)
         layer = LConvLayer(w0=np.eye(10), eps=[params["eps"]],
                            generators=[params["gen"]])
-        save_train_state(tmp_path, layer, params, state, 1,
-                         head_names=("v1", "b1", "v2", "b2"))
-        _, params, loaded, _ = load_train_state(tmp_path)
+        save_train_state(tmp_path, layer, params, state, 1)
+        params, loaded, _ = load_train_state(task, tmp_path)
         state = adam_init(params, loaded)
         for step in grads[20:]:
             adam_step(params, step, state, cfg)
@@ -465,9 +464,9 @@ class TestTrainStateIO:
         state = adam_init(params)
         state["t"] = 17
         state["m"]["gen"] += 0.5
-        save_train_state(tmp_path / "s", layer, params, state, 9,
-                         head_names=("v1", "b1", "v2", "b2"))
-        _, p2, s2, epoch = load_train_state(tmp_path / "s")
+        save_train_state(tmp_path / "s", layer, params, state, 9)
+        p2, s2, epoch = load_train_state(
+            AngleRegressionTask(width=2, height=3, m_copies=2, hidden=3), tmp_path / "s")
         assert epoch == 9
         assert s2["t"] == 17
         for k in params:

@@ -9,7 +9,8 @@ from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action, load_checkpoint, materialize,
                          recursive_apply, save_checkpoint)
-from lconv.numerics import DimensionError, SeededRng, finite_difference_gradient
+from lconv.numerics import (DimensionError, FormatError, SeededRng,
+                            finite_difference_gradient, write_matrix)
 
 
 def random_layer(rng, d, m_in, m_out, n_gen=1, **kw):
@@ -57,6 +58,15 @@ class TestForward:
             layer.forward(rng.uniform(6, 4))
         with pytest.raises(DimensionError, match="grid"):
             layer.forward(rng.uniform(5, 2))
+
+    @pytest.mark.parametrize("gens", [
+        [np.zeros((4, 3))],
+        [Generator(low_rank=(np.zeros((4, 2)), np.zeros((2, 3))))],
+        [np.zeros((4, 4)), np.zeros((5, 5))],
+    ], ids=["dense-4x3", "low-rank-4x3", "4-and-5"])
+    def test_generators_must_be_d_by_d_for_one_d(self, gens):
+        with pytest.raises(DimensionError, match="d x d"):
+            LConvLayer(np.eye(1), [1.0] * len(gens), gens, scalar_eps=True)
 
 
 class TestBackward:
@@ -252,6 +262,14 @@ class TestMaterialize:
 
 
 class TestCheckpoint:
+    def test_scalar_eps_must_be_1x1(self, tmp_path):
+        layer = LConvLayer(np.eye(1), [0.5], [np.eye(3)], scalar_eps=True)
+        save_checkpoint(layer, tmp_path / "ckpt")
+        assert load_checkpoint(tmp_path / "ckpt")[0].eps == [0.5]
+        write_matrix(tmp_path / "ckpt" / "eps_0.mat", np.zeros((0, 3)))
+        with pytest.raises(FormatError, match="scalar eps"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_roundtrip(self, tmp_path):
         rng = SeededRng(37)
         layer = LConvLayer(rng.uniform(3, 2), [rng.uniform(3, 3), rng.uniform(3, 3)],
