@@ -3,7 +3,7 @@
 Subpackages by theme:
 
 - numerics:     matrices, RNG, least squares, gradient checking, file I/O
-- groups:       Shannon-Whittaker shifts, rotations, analytic generators
+- groups:       Shannon-Whittaker shifts and rotations
 - layer:        the L-conv layer with hand-written reverse-mode gradients
 - discovery:    datasets, Adam/SGD, the two generator-learning pipelines
 - approx:       building finite group convolutions out of near-identity steps

@@ -30,9 +30,9 @@ from .numerics import DimensionError, as_matrix, check_value, cosine_correlation
 
 @dataclass(frozen=True)
 class SampledKernel:
-    """Point-mass kernel: weights c_k (m x m') attached to anchors u_k."""
+    """Point-mass kernel: scalar weights c_k attached to anchors u_k."""
     anchors: tuple      # of GroupElement
-    weights: tuple      # of m x m' arrays (scalars are promoted to 1 x 1)
+    weights: tuple      # of floats
 
     def __post_init__(self):
         if not self.anchors:
@@ -44,39 +44,21 @@ class SampledKernel:
             raise DimensionError(f"anchors disagree on dimension: {sorted(ds)}")
 
 
-def _as_weight(c):
-    w = np.asarray(c, dtype=np.float64)
-    if w.ndim == 0:
-        w = w[None, None]
-    return as_matrix(w)
-
-
-def sampled_kernel(anchors, weights):
-    return SampledKernel(anchors=tuple(anchors),
-                         weights=tuple(_as_weight(c) for c in weights))
-
-
 def gconv_reference(f, kernel):
     """Exact group convolution of f (d x m) with a point-mass kernel.
 
     Output row mu is the kernel-weighted read-out of f at the lift points
-    g_mu u_k; for shift anchors this reduces to sum_k u_k^T f c_k^T, the
-    weighted combination of shifted copies of f.
+    g_mu u_k; for shift anchors this reduces to sum_k c_k u_k^T f, the
+    weighted combination of shifted copies of f, each weight acting on
+    every channel.
     """
     f = as_matrix(f)
     d = kernel.anchors[0].d
     if f.shape[0] != d:
         raise DimensionError(f"f has {f.shape[0]} rows, anchors act on {d}")
-    m = f.shape[1]
     out = None
     for u, c in zip(kernel.anchors, kernel.weights):
-        if c.shape == (1, 1):
-            term = (u.matrix.T @ f) * c[0, 0]   # scalar weight acts on all channels
-        elif c.shape[0] != m:
-            raise DimensionError(
-                f"kernel weight expects {c.shape[0]} channels, f has {m}")
-        else:
-            term = (u.matrix.T @ f) @ c
+        term = (u.matrix.T @ f) * c
         out = term if out is None else out + term
     return out
 
@@ -107,8 +89,8 @@ def approx_group_element(gen, z, n):
 
 def shift_kernel(d, offsets, weights):
     """SampledKernel of integer SW shifts g_mu with scalar weights."""
-    anchors = [sw_shift_matrix(d, mu) for mu in offsets]
-    return sampled_kernel(anchors, list(weights))
+    return SampledKernel(anchors=tuple(sw_shift_matrix(d, mu) for mu in offsets),
+                         weights=tuple(float(w) for w in weights))
 
 
 def circular_convolve(f, taps):
@@ -121,7 +103,7 @@ def circular_convolve(f, taps):
     return out
 
 
-def cnn_equivalence_check(kernel_weights, d, f=None, seed_values=None):
+def cnn_equivalence_check(kernel_weights, d, f=None):
     """Max-abs gap between a circular 1-D CNN and its G-conv realization.
 
     The CNN with taps w_mu applied as out[nu] = sum_mu w_mu f[nu - mu] is
@@ -131,9 +113,7 @@ def cnn_equivalence_check(kernel_weights, d, f=None, seed_values=None):
     taps = np.asarray(kernel_weights, dtype=np.float64).ravel()
     if taps.size > d:
         raise DimensionError(f"kernel size {taps.size} exceeds grid size {d}")
-    if f is None:
-        f = seed_values if seed_values is not None else np.arange(d, dtype=np.float64)[:, None]
-    f = as_matrix(f)
+    f = as_matrix(np.arange(d, dtype=np.float64) if f is None else f)
     kernel = shift_kernel(d, range(taps.size), taps)
     return float(np.abs(gconv_reference(f, kernel) - circular_convolve(f, taps)).max())
 

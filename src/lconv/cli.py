@@ -184,13 +184,14 @@ def cmd_train(cfg, args):
         raise ConfigError("the reference rotation generator needs width, height >= 3")
     if fixed and task.n_train < task.d:
         raise ConfigError(f"the least-squares oracle needs n_train >= d = {task.d}")
+    resume = None
     if "resume" in cfg:
         with _config_errors():
-            load_train_state(task, cfg["resume"])
+            resume = load_train_state(task, cfg["resume"])
     out_dir = _echo_run("train", dict(cfg, seed=task.seed))
     train = train_fixed_angle if fixed else train_angle_regression
     try:
-        report = train(task, opt, resume_dir=cfg.get("resume"),
+        report = train(task, opt, resume=resume,
                        checkpoint_dir=os.path.join(out_dir, "checkpoint"))
     except TrainingDivergedError as exc:
         if exc.report is not None:

@@ -236,6 +236,13 @@ def save_train_state(directory, layer, params, state, next_epoch):
                              np.atleast_2d(state[moment][name]))
 
 
+def _frozen_w0(task):
+    """The channel mixer each pipeline holds fixed: 1 for the single
+    fixed-angle channel, I_m over the m angle-regression copies."""
+    fixed = isinstance(task, FixedAngleTask)
+    return np.array([[1.0]]) if fixed else np.eye(task.m_copies)
+
+
 def _init_params(task):
     """The trained parameters at epoch 0, drawn from the task seed + 2 stream."""
     rng = SeededRng(task.seed + 2)
@@ -246,9 +253,10 @@ def _init_params(task):
 
 def load_train_state(task, directory):
     """Inverse of save_train_state for `task`'s model: (params, Adam
-    state or None, first epoch).  The task declares each parameter's name
-    and shape; an array that does not fit it, or a checkpoint of another
-    model, raises LconvError."""
+    state or None, first epoch), the `resume` argument of the pipelines.
+    The task declares each parameter's name and shape and the frozen W0;
+    an array that does not fit them, or a checkpoint of another model,
+    raises LconvError."""
     layer, manifest = load_checkpoint(directory)
     extra = manifest["extra"]
     if not all(type(extra.get(k)) is int for k in ("epoch", "adam_t")):
@@ -259,6 +267,9 @@ def load_train_state(task, directory):
             or extra.get("head", []) != head):
         raise LconvError(f"{directory} holds no checkpoint of the "
                          f"{type(task).__name__} model")
+    if not np.array_equal(layer.w0, _frozen_w0(task)):
+        raise FormatError(f"{directory}: W0.mat holds a {layer.w0.shape} matrix "
+                          "other than the task's frozen W0")
 
     saved = {"gen": materialize(layer.generators[0]), "eps": layer.eps[0]}
 
@@ -279,11 +290,11 @@ def load_train_state(task, directory):
     return params, state, extra["epoch"]
 
 
-def _start(task, resume_dir, opt):
+def _start(task, resume, opt):
     """(params, optimizer state, first epoch): fresh parameters at epoch 0,
-    or a checkpoint's; Adam moments start at zero when absent."""
-    params, state, start_epoch = (load_train_state(task, resume_dir) if resume_dir
-                                  else (_init_params(task), None, 0))
+    or the `load_train_state` triple `resume`, whose params it takes over;
+    Adam moments start at zero when absent."""
+    params, state, start_epoch = resume or (_init_params(task), None, 0)
     if opt.kind == "adam":
         state = adam_init(params, state)
     return params, state, start_epoch
@@ -334,7 +345,7 @@ def _fit(report, params, state, opt, start_epoch, n, batch, evaluate):
                              else evaluate())
 
 
-def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
+def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     """Learn a dense generator from fixed-angle rotation pairs.
 
     Minimizes mean ||(I + L) f - R f||^2 over the training set with the
@@ -352,8 +363,8 @@ def train_fixed_angle(task, opt, resume_dir=None, checkpoint_dir=None):
     d = task.d
     r_ls = least_squares_solve(x_train, y_train)
 
-    params, state, start_epoch = _start(task, resume_dir, opt)
-    layer = _shared_layer(params, np.array([[1.0]]))
+    params, state, start_epoch = _start(task, resume, opt)
+    layer = _shared_layer(params, _frozen_w0(task))
 
     def batch(idx):
         # whole sample rows, copied once to store (B, d, 1) grid-major
@@ -479,7 +490,7 @@ def _angle_backward(params, layer, y, theta, pred, stash):
             "v2": dv2, "b2": db2}
 
 
-def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
+def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
     t0 = time.perf_counter()
     gt = sw_rotation_generator(task.width, task.height).dense
@@ -488,8 +499,8 @@ def train_angle_regression(task, opt, resume_dir=None, checkpoint_dir=None):
     f_train, y_train = data["f_train"], data["y_train"]
     theta_train = data["theta_train"]
 
-    params, state, start_epoch = _start(task, resume_dir, opt)
-    layer = _shared_layer(params, np.eye(m))
+    params, state, start_epoch = _start(task, resume, opt)
+    layer = _shared_layer(params, _frozen_w0(task))
 
     def batch(idx):
         fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]

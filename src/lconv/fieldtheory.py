@@ -18,8 +18,8 @@ and telescopes to zero on a periodic grid under any zero-column-sum
 skew derivative operator; `mse_loss_decomposed` uses that divergence form
 for its third term, so direct and decomposed losses agree exactly in that
 regime.  For a general matrix eps the product rule picks up the
-antisymmetric part of v^i; `decomposition_gap` gives the exact closed
-form 2 <skew(v^i), Phi^T L_i Phi>, which the tests verify.
+antisymmetric part of v^i, and direct minus decomposed is exactly
+2 sum_i <skew(v^i), Phi^T L_i Phi>.
 
 Stationarity of the loss in the field gives the Euler-Lagrange equation;
 for translations it is a Helmholtz equation H phi'' = m2 phi whose
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GridSpec, analytic_generator
+from .groups import GridSpec
 from .layer import group_action, materialize
 from .numerics import DimensionError, LconvError, as_matrix
 
@@ -114,20 +114,6 @@ def loss_terms(sample, terms, generators):
         s = np.sum((phi @ terms.v[i]) * phi, axis=1)
         div += float(np.sum(l @ s))
     return mass, kinetic, div
-
-
-def decomposition_gap(sample, terms, generators):
-    """Exact direct-minus-decomposed gap: 2 sum_i <skew(v^i), Phi^T L_i Phi>.
-
-    Vanishes when every v^i is symmetric (scalar eps or one channel).
-    """
-    phi = sample.phi
-    gap = 0.0
-    for i, g in enumerate(generators):
-        skew_v = 0.5 * (terms.v[i] - terms.v[i].T)
-        s = phi.T @ (materialize(g) @ phi)
-        gap += 2.0 * float(np.sum(skew_v * s))
-    return gap
 
 
 def loss_invariance_check(sample, layer, w):
@@ -235,7 +221,9 @@ def metric_equivariance_check(eps, w0, xi, theta, x0=(1.0, 0.0)):
     w0 = as_matrix(np.atleast_2d(w0))
     m2 = w0 @ w0.T
     channel = eps.T @ m2 @ eps
-    _, fld = analytic_generator("so2")
+
+    def fld(x):   # the so(2) vector field (-y, x)
+        return np.array([-x[1], x[0]], dtype=np.float64)
 
     def rot(a):
         c, s = np.cos(a), np.sin(a)

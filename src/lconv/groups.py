@@ -238,33 +238,3 @@ def rotation_matrix_bilinear(width, height, theta):
         label=f"rot theta={float(theta):g}",
         inverse=resampled(-float(theta)),
     )
-
-
-def analytic_generator(kind, n=2, index=0):
-    """Closed-form small generators with their vector-field evaluators.
-
-    kind = "so2":     L = [[0,-1],[1,0]], field(x, y) = (-y, x)
-    kind = "scaling": L = I_2,            field(x, y) = (x, y)
-    kind = "t_n":     affine translation generator number `index` on the
-                      (n+1)-dim rep (1, x^1..x^n); field = e_index, constant.
-
-    Returns (Generator, field) where field maps a base point to the
-    generator's vector-field components there.
-    """
-    if kind == "so2":
-        l = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return (Generator(dense=l, label="so2"),
-                lambda x: np.array([-x[1], x[0]], dtype=np.float64))
-    if kind == "scaling":
-        return (Generator(dense=np.eye(2), label="scaling"),
-                lambda x: np.asarray(x, dtype=np.float64).copy())
-    if kind == "t_n":
-        if not (0 <= index < n):
-            raise DimensionError(f"translation index {index} out of range for T_{n}")
-        l = np.zeros((n + 1, n + 1))
-        l[index + 1, 0] = 1.0
-        e = np.zeros(n)
-        e[index] = 1.0
-        return (Generator(dense=l, label=f"t_{n}[{index}]"),
-                lambda x, e=e: e.copy())
-    raise DimensionError(f"unknown analytic generator kind {kind!r}")

@@ -121,22 +121,6 @@ class LConvLayer:
     def d(self):
         return self.generators[0].shape[0] if self.generators else None
 
-    @classmethod
-    def init(cls, rng, d, m_in, m_out, n_generators=1, scalar_eps=False):
-        """Random init: W0 ~ U(+-1/sqrt(m_in)), eps ~ U(+-0.1/n_L),
-        generators ~ U(+-1/sqrt(d)); keeps the generator term a
-        perturbation of the residual path."""
-        w0 = rng.uniform_signed(1.0 / np.sqrt(m_in), (m_in, m_out))
-        if scalar_eps:
-            eps = [float(rng.uniform_signed(0.1 / n_generators, ())) for _ in range(n_generators)]
-        else:
-            eps = [rng.uniform_signed(0.1 / n_generators, (m_in, m_in))
-                   for _ in range(n_generators)]
-        gens = [Generator(dense=rng.uniform_signed(1.0 / np.sqrt(d), (d, d)),
-                          label=f"learned[{i}]")
-                for i in range(n_generators)]
-        return cls(w0, eps, gens, scalar_eps=scalar_eps)
-
     # -- forward ---------------------------------------------------------
 
     def _input(self, f):
@@ -239,18 +223,6 @@ class LConvLayer:
         return LayerGradients(d_eps=d_eps, d_generators=d_gens,
                               d_input=d_in.reshape(f.shape).swapaxes(0, -2),
                               _dw0=dw0)
-
-
-def recursive_apply(f, layer, t):
-    """Apply the same shape-preserving layer t times; t = 0 returns f."""
-    if layer.m_in != layer.m_out:
-        raise DimensionError(
-            f"recursive application needs m_in == m_out, got {layer.m_in} != {layer.m_out}")
-    if t < 0:
-        raise DimensionError("repeat count must be >= 0")
-    for _ in range(t):
-        f = layer.forward(f)
-    return f
 
 
 def group_action(w, f):

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from lconv import discovery
 from lconv.cli import main
 from lconv.numerics import read_matrix, write_matrix
 
@@ -195,6 +196,16 @@ class TestTrain:
         curve = json.load(open(tmp_path / "resumed" / "report.json"))["loss_curve"]
         assert [row[0] for row in curve] == [2, 3]
 
+    def test_resume_reads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        assert run("train", "--config", self._train_cfg(tmp_path, "short", epochs=1)) == 0
+        reads, load = [], discovery.load_checkpoint
+        monkeypatch.setattr(discovery, "load_checkpoint",
+                            lambda directory: reads.append(directory) or load(directory))
+        resumed = self._train_cfg(tmp_path, "resumed", epochs=2,
+                                  extra={"resume": str(tmp_path / "short" / "checkpoint")})
+        assert run("train", "--config", resumed) == 0
+        assert reads == [str(tmp_path / "short" / "checkpoint")]
+
     def test_resume_from_older_checkpoint_format(self, tmp_path):
         # checkpoints of earlier versions also hold a JSON file of the
         # parameter shapes and the manifest keys m_in, m_out, d and
@@ -368,6 +379,7 @@ CHECKPOINT_EDITS = {
     "generator-48x48": ("run", _overwrite("gen_0.mat", (48, 48)), FIXED),
     "generator-49x3": ("run", _overwrite("gen_0.mat", (49, 3)), FIXED),
     "w0-2x1": ("run", _overwrite("W0.mat", (2, 1)), FIXED),
+    "w0-angle-zero": ("run_angle", _overwrite("W0.mat", (10, 10)), ANGLE),
     "head-v1-size": ("run_angle", _overwrite("head_v1.mat", (10, 4)), ANGLE),
     "adam-m-v1-size": ("run_angle", _overwrite("adam_m_v1.mat", (10, 4)), ANGLE),
     "angle-into-fixed": ("run_angle", lambda ckpt: None, FIXED),
@@ -406,7 +418,7 @@ def _run_on_copy(tmp_path, trained, command, saved, change, task):
 @pytest.mark.parametrize("command, edit", [
     *(("eval", e) for e in MANIFEST_EDITS if e != "no-epoch"),
     *(("eval", e) for e in ("scalar-eps-0x3", "generator-49x3", "w0-2x1")),
-    *(("resume", e) for e in CHECKPOINT_EDITS if e != "w0-2x1"),
+    *(("resume", e) for e in CHECKPOINT_EDITS),
 ])
 def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command, edit):
     assert _run_on_copy(tmp_path, trained, command, *CHECKPOINT_EDITS[edit]) == 2

@@ -300,7 +300,7 @@ class TestFixedAngleTraining:
         train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=3),
                           checkpoint_dir=ck)
         resumed = train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=5),
-                                    resume_dir=ck)
+                                    resume=load_train_state(task, ck))
         assert [r[0] for r in resumed.loss_curve] == [3, 4]
         assert resumed.loss_curve == full.loss_curve[3:]
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
@@ -317,7 +317,7 @@ class TestFixedAngleTraining:
         manifest.update(train_w0=False, train_eps=False, train_generators=True)
         (ck / "manifest.json").write_text(json.dumps(manifest))
         resumed = train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=3),
-                                    resume_dir=ck)
+                                    resume=load_train_state(task, ck))
         assert resumed.loss_curve == full.loss_curve[2:]
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
 
@@ -447,7 +447,8 @@ class TestAngleRegressionPieces:
         train_angle_regression(task, OptimizerConfig(lr=1e-3, batch_size=16, epochs=2),
                                checkpoint_dir=ck)
         resumed = train_angle_regression(
-            task, OptimizerConfig(lr=1e-3, batch_size=16, epochs=3), resume_dir=ck)
+            task, OptimizerConfig(lr=1e-3, batch_size=16, epochs=3),
+            resume=load_train_state(task, ck))
         assert [r[0] for r in resumed.loss_curve] == [2]
         assert resumed.loss_curve == full.loss_curve[2:]
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])

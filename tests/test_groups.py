@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from lconv.groups import (UnsupportedSizeError, _circulant, analytic_generator,
-                          image_coords, rotation_matrix_bilinear,
-                          sw_rotation_generator, sw_shift_generator,
-                          sw_shift_matrix)
+from lconv.groups import (UnsupportedSizeError, _circulant, image_coords,
+                          rotation_matrix_bilinear, sw_rotation_generator,
+                          sw_shift_generator, sw_shift_matrix)
 from lconv.numerics import SeededRng, cosine_correlation
 
 
@@ -178,24 +177,3 @@ class TestSwRotationGenerator:
         l = sw_rotation_generator(7, 7).dense
         assert l.shape == (49, 49)
         assert np.abs(l + l.T).max() < 1e-10
-
-
-class TestAnalyticGenerators:
-    def test_so2_field(self):
-        gen, fld = analytic_generator("so2")
-        assert np.array_equal(gen.dense, [[0.0, -1.0], [1.0, 0.0]])
-        assert np.allclose(fld((1.0, 0.0)), [0.0, 1.0])
-        assert np.allclose(fld((0.3, -1.2)), [1.2, 0.3])
-
-    def test_translation_fields_constant(self):
-        for i in range(3):
-            gen, fld = analytic_generator("t_n", n=3, index=i)
-            e = np.zeros(3)
-            e[i] = 1.0
-            assert np.array_equal(fld((0.4, 0.5, 0.6)), e)
-            assert np.array_equal(fld((9.0, -2.0, 0.0)), e)
-
-    def test_scaling_field_is_position(self):
-        gen, fld = analytic_generator("scaling")
-        assert np.array_equal(gen.dense, np.eye(2))
-        assert np.allclose(fld((2.0, 3.0)), [2.0, 3.0])

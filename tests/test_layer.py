@@ -8,13 +8,19 @@ from lconv.groups import Generator, sw_shift_generator, sw_shift_matrix
 from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action, load_checkpoint, materialize,
-                         recursive_apply, save_checkpoint)
+                         save_checkpoint)
 from lconv.numerics import (DimensionError, FormatError, SeededRng,
                             finite_difference_gradient, write_matrix)
 
 
-def random_layer(rng, d, m_in, m_out, n_gen=1, **kw):
-    return LConvLayer.init(rng, d, m_in, m_out, n_generators=n_gen, **kw)
+def random_layer(rng, d, m_in, m_out, n_gen=1):
+    """W0 ~ U(+-1/sqrt(m_in)), eps ~ U(+-0.1/n_gen), generators ~
+    U(+-1/sqrt(d)): the generator term a perturbation of the residual path."""
+    w0 = rng.uniform_signed(1.0 / np.sqrt(m_in), (m_in, m_out))
+    eps = [rng.uniform_signed(0.1 / n_gen, (m_in, m_in)) for _ in range(n_gen)]
+    gens = [Generator(dense=rng.uniform_signed(1.0 / np.sqrt(d), (d, d)),
+                      label=f"learned[{i}]") for i in range(n_gen)]
+    return LConvLayer(w0, eps, gens)
 
 
 class TestForward:
@@ -150,29 +156,17 @@ class TestBackward:
 
 
 class TestRecursive:
-    def test_zero_and_one_applications(self):
-        rng = SeededRng(27)
-        layer = random_layer(rng, 5, 2, 2)
-        f = rng.uniform(5, 2)
-        assert np.array_equal(recursive_apply(f, layer, 0), f)
-        assert np.array_equal(recursive_apply(f, layer, 1), layer.forward(f))
-
     def test_matches_matrix_power_for_scalar_eps(self):
         rng = SeededRng(28)
         d = 6
         l = rng.uniform(d, d)
         layer = LConvLayer(np.eye(1), [0.2], [l], scalar_eps=True)
         f = rng.uniform(d, 1)
-        out = recursive_apply(f, layer, 4)
+        out = f
+        for _ in range(4):
+            out = layer.forward(out)
         expected = np.linalg.matrix_power(np.eye(d) + 0.2 * l, 4) @ f
         assert np.abs(out - expected).max() < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        rng = SeededRng(29)
-        layer = random_layer(rng, 5, 2, 3)
-        f = rng.uniform(5, 2)
-        with pytest.raises(DimensionError):
-            recursive_apply(f, layer, 2)
 
 
 class TestEquivariance:
