@@ -9,10 +9,10 @@ under exact rotations.
 
 import numpy as np
 
-from lconv.fieldtheory import (FieldSample, field_terms, loss_invariance_check,
-                               loss_terms, metric_equivariance_check,
-                               mse_loss_decomposed, mse_loss_direct)
-from lconv.groups import GridSpec, sw_shift_generator, sw_shift_matrix
+from lconv.fieldtheory import (field_terms, loss_invariance_check, loss_terms,
+                               metric_equivariance_check, mse_loss_decomposed,
+                               mse_loss_direct)
+from lconv.groups import sw_shift_generator, sw_shift_matrix
 from lconv.layer import LConvLayer
 from lconv.numerics import SeededRng
 
@@ -20,23 +20,23 @@ rng = SeededRng(3)
 d, m = 24, 2
 gen = sw_shift_generator(d)
 layer = LConvLayer(rng.uniform_signed(0.8, (m, m)), [0.31], [gen], scalar_eps=True)
-sample = FieldSample(GridSpec("line", d), rng.uniform(d, m))
+phi = rng.uniform(d, m)   # the field, one row per point of the ring
 terms = field_terms(layer)
 
 print("== direct loss vs mass + kinetic + divergence ==")
-direct = mse_loss_direct(sample, layer)
-mass, kinetic, div = loss_terms(sample, terms, [gen])
+direct = mse_loss_direct(phi, layer)
+mass, kinetic, div = loss_terms(phi, terms, [gen])
 print(f"   direct      = {direct:.10f}")
 print(f"   mass        = {mass:.10f}")
 print(f"   kinetic     = {kinetic:.10f}")
 print(f"   divergence  = {div:.3e}   (telescopes on the periodic grid)")
-print(f"   relative gap = {abs(direct - mse_loss_decomposed(sample, terms, [gen])) / direct:.2e}")
+print(f"   relative gap = {abs(direct - mse_loss_decomposed(phi, terms, [gen])) / direct:.2e}")
 
 print("== loss invariance under the shift group ==")
-print(f"   integer shift : {loss_invariance_check(sample, layer, sw_shift_matrix(d, 5)):.2e}")
-spec = np.fft.rfft(sample.phi, axis=0)
+print(f"   integer shift : {loss_invariance_check(phi, layer, sw_shift_matrix(d, 5)):.2e}")
+spec = np.fft.rfft(phi, axis=0)
 spec[-1] = 0.0
-band = FieldSample(sample.grid, np.fft.irfft(spec, n=d, axis=0))
+band = np.fft.irfft(spec, n=d, axis=0)
 print(f"   half shift (band-limited field): "
       f"{loss_invariance_check(band, layer, sw_shift_matrix(d, 0.5)):.2e}")
 

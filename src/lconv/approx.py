@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupElement, Generator, _circulant, sw_shift_matrix,
-                     sw_shift_generator)
+from .groups import GroupElement, _circulant, sw_shift_generator, sw_shift_matrix
 from .layer import materialize
 from .numerics import DimensionError, as_matrix, check_value, cosine_correlation
 
@@ -83,8 +82,7 @@ def approx_group_element(gen, z, n):
         m = _circulant(band)
     else:
         m = np.linalg.matrix_power(np.eye(l.shape[0]) + (float(z) / n) * l, n)
-    label = gen.label if isinstance(gen, Generator) else "generator"
-    return GroupElement(matrix=m, label=f"approx z={float(z):g} n={n} [{label}]")
+    return GroupElement(matrix=m)
 
 
 def shift_kernel(d, offsets, weights):

@@ -27,14 +27,13 @@ import numpy as np
 from . import __version__
 from .approx import shift_approx_sweep
 from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
-                        TrainingDivergedError, _eval_linear,
+                        TrainingDivergedError, _check_frozen, _eval_linear,
                         gen_angle_pairs_dataset, gen_fixed_angle_dataset,
                         load_train_state, train_angle_regression,
                         train_fixed_angle)
-from .fieldtheory import (FieldSample, FieldTheoryTerms, field_terms,
-                          helmholtz_convergence, mse_loss_decomposed,
-                          mse_loss_direct)
-from .groups import GridSpec, _check_even, sw_shift_generator
+from .fieldtheory import (FieldTheoryTerms, field_terms, helmholtz_convergence,
+                          mse_loss_decomposed, mse_loss_direct)
+from .groups import _check_even, sw_shift_generator
 from .layer import LConvLayer, load_checkpoint
 from .numerics import (LconvError, SeededRng, check_value, write_csv,
                        write_matrix, read_matrix)
@@ -208,10 +207,10 @@ def cmd_eval(cfg, args):
     _take(cfg, ("checkpoint", "data_dir", "out_dir"), required=("checkpoint", "data_dir"))
     with _config_errors():
         layer, manifest = load_checkpoint(cfg["checkpoint"])
-    if manifest["extra"].get("head") or layer.w0.shape != (1, 1):
-        raise ConfigError(f"{cfg['checkpoint']} (W0 {layer.w0.shape}, head "
-                          f"{manifest['extra'].get('head')!r}) is no fixed-angle "
-                          "checkpoint (1 x 1 W0, no head), the only kind eval scores")
+        if manifest["extra"].get("head"):
+            raise ConfigError(f"{cfg['checkpoint']} (head {manifest['extra']['head']!r})"
+                              " is no fixed-angle checkpoint, the only kind eval scores")
+        _check_frozen(FixedAngleTask(), layer, cfg["checkpoint"])
     x = read_matrix(os.path.join(cfg["data_dir"], "X_test.mat"))
     y = read_matrix(os.path.join(cfg["data_dir"], "Y_test.mat"))
     if x.shape != y.shape or x.shape[0] != layer.d or not x.size:
@@ -244,10 +243,7 @@ def cmd_approx(cfg, args):
 
 def cmd_theory(cfg, args):
     defaults = _choose(_THEORY, cfg, "check")
-    _take(cfg, [*defaults, "check", "group", "seed", "out_dir"])
-    if cfg.get("group", "translation") != "translation":
-        raise ConfigError(f"unsupported group {cfg['group']!r}: variational "
-                          "diagnostics cover the translation group only")
+    _take(cfg, [*defaults, "check", "seed", "out_dir"])
     values = {**defaults, "seed": 0, **cfg}
     with _config_errors():
         check_value("seed", values["seed"], int)
@@ -280,10 +276,10 @@ def cmd_theory(cfg, args):
         layer = LConvLayer(rng.uniform_signed(0.8, (m, m)),
                            [float(rng.uniform_signed(0.4, ()))],
                            [gen], scalar_eps=True)
-        sample = FieldSample(GridSpec("line", d), rng.uniform(d, m))
+        phi = rng.uniform(d, m)
         terms = field_terms(layer)
-        direct = mse_loss_direct(sample, layer)
-        dec = mse_loss_decomposed(sample, terms, [gen])
+        direct = mse_loss_direct(phi, layer)
+        dec = mse_loss_decomposed(phi, terms, [gen])
         worst = max(worst, abs(direct - dec) / max(direct, 1e-300))
     print(f"max relative decomposition gap over instances: {worst:.3e}")
     _write_json(os.path.join(out_dir, "decomposition.json"),

@@ -236,11 +236,23 @@ def save_train_state(directory, layer, params, state, next_epoch):
                              np.atleast_2d(state[moment][name]))
 
 
-def _frozen_w0(task):
-    """The channel mixer each pipeline holds fixed: 1 for the single
-    fixed-angle channel, I_m over the m angle-regression copies."""
-    fixed = isinstance(task, FixedAngleTask)
-    return np.array([[1.0]]) if fixed else np.eye(task.m_copies)
+def _frozen(task):
+    """The layer values each pipeline holds fixed: W0 = 1 and the scalar
+    eps 1 on the single fixed-angle channel, W0 = I_m over the m
+    angle-regression copies (whose eps is trained)."""
+    if isinstance(task, FixedAngleTask):
+        return {"w0": np.array([[1.0]]), "eps": 1.0}
+    return {"w0": np.eye(task.m_copies)}
+
+
+def _check_frozen(task, layer, directory):
+    """Raise FormatError unless checkpoint `directory`'s layer holds the
+    values `task` freezes, as the layer trained and saved for it did."""
+    frozen = _frozen(task)
+    eps_ok = "eps" not in frozen or layer.scalar_eps and layer.eps == [frozen["eps"]]
+    if not (eps_ok and np.array_equal(layer.w0, frozen["w0"])):
+        raise FormatError(f"{directory}: W0.mat or eps_0.mat differs from the "
+                          "value the task holds frozen")
 
 
 def _init_params(task):
@@ -254,9 +266,9 @@ def _init_params(task):
 def load_train_state(task, directory):
     """Inverse of save_train_state for `task`'s model: (params, Adam
     state or None, first epoch), the `resume` argument of the pipelines.
-    The task declares each parameter's name and shape and the frozen W0;
-    an array that does not fit them, or a checkpoint of another model,
-    raises LconvError."""
+    The task declares each parameter's name and shape and, in `_frozen`,
+    the fixed values; an array that does not fit them, or a checkpoint of
+    another model, raises LconvError."""
     layer, manifest = load_checkpoint(directory)
     extra = manifest["extra"]
     if not all(type(extra.get(k)) is int for k in ("epoch", "adam_t")):
@@ -267,9 +279,7 @@ def load_train_state(task, directory):
             or extra.get("head", []) != head):
         raise LconvError(f"{directory} holds no checkpoint of the "
                          f"{type(task).__name__} model")
-    if not np.array_equal(layer.w0, _frozen_w0(task)):
-        raise FormatError(f"{directory}: W0.mat holds a {layer.w0.shape} matrix "
-                          "other than the task's frozen W0")
+    _check_frozen(task, layer, directory)
 
     saved = {"gen": materialize(layer.generators[0]), "eps": layer.eps[0]}
 
@@ -300,13 +310,13 @@ def _start(task, resume, opt):
     return params, state, start_epoch
 
 
-def _shared_layer(params, w0):
-    """The layer trained through `params`: it holds params["gen"] (and
-    params["eps"] when eps is trained) themselves, because the optimizers
-    update those arrays in place; a copy would silently freeze them."""
-    scalar = "eps" not in params
-    layer = LConvLayer(w0=w0, eps=[1.0 if scalar else params["eps"]],
-                       generators=[params["gen"]], scalar_eps=scalar)
+def _shared_layer(params, frozen):
+    """The layer trained through `params`, with `_frozen` values `frozen`:
+    it holds params["gen"] (and params["eps"] when eps is trained) itself,
+    as the optimizers update them in place; a copy would freeze them."""
+    scalar = "eps" in frozen
+    layer = LConvLayer(frozen["w0"], [frozen["eps"] if scalar else params["eps"]],
+                       [params["gen"]], scalar_eps=scalar)
     if (layer.generators[0] is not params["gen"]
             or not (scalar or layer.eps[0] is params["eps"])):
         raise RuntimeError("layer copied a trained parameter instead of sharing it")
@@ -364,7 +374,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     r_ls = least_squares_solve(x_train, y_train)
 
     params, state, start_epoch = _start(task, resume, opt)
-    layer = _shared_layer(params, _frozen_w0(task))
+    layer = _shared_layer(params, _frozen(task))
 
     def batch(idx):
         # whole sample rows, copied once to store (B, d, 1) grid-major
@@ -404,12 +414,12 @@ def _eval_linear(layer, x, y, chunk=4096):
     return total / (n * x.shape[0])
 
 
-def rotate_images(images, thetas, width, height, chunk=2048):
+def rotate_images(images, thetas, width, height):
     """Rotate each row image by its own angle via bilinear resampling."""
     n, d = images.shape
     out = np.empty_like(images)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
+    for start in range(0, n, 2048):
+        sl = slice(start, min(start + 2048, n))
         out[sl] = _bilinear_resample(images[sl], thetas[sl], width, height)
     return out
 
@@ -500,7 +510,7 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     theta_train = data["theta_train"]
 
     params, state, start_epoch = _start(task, resume, opt)
-    layer = _shared_layer(params, _frozen_w0(task))
+    layer = _shared_layer(params, _frozen(task))
 
     def batch(idx):
         fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]

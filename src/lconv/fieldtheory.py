@@ -21,10 +21,14 @@ regime.  For a general matrix eps the product rule picks up the
 antisymmetric part of v^i, and direct minus decomposed is exactly
 2 sum_i <skew(v^i), Phi^T L_i Phi>.
 
+The loss functions take the field itself, a (d, m) array with one row
+per point of the periodic grid the generators act on.
+
 Stationarity of the loss in the field gives the Euler-Lagrange equation;
-for translations it is a Helmholtz equation H phi'' = m2 phi whose
-symmetric solution is cosh(x / |eps|).  On such solutions the Noether
-current J = phi'^T H phi' - phi^T m2 phi is constant in x; both the EL
+for translations, the only group these diagnostics cover, it is a
+Helmholtz equation H phi'' = m2 phi whose symmetric solution is
+cosh(x / |eps|).  On such solutions the Noether current
+J = phi'^T H phi' - phi^T m2 phi is constant in x; both the EL
 residual and the current's divergence are evaluated with second-order
 central differences, independent of the layer's generator matrices.
 """
@@ -33,25 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GridSpec
 from .layer import group_action, materialize
-from .numerics import DimensionError, LconvError, as_matrix
-
-
-class UnsupportedGroupError(LconvError):
-    pass
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Concatenated features-and-labels field on a grid, one row per point."""
-    grid: GridSpec
-    phi: np.ndarray   # d x (m + m_y)
-
-    def __post_init__(self):
-        if self.phi.shape[0] != self.grid.d:
-            raise DimensionError(
-                f"field has {self.phi.shape[0]} rows, grid has {self.grid.d}")
+from .numerics import DimensionError, as_matrix
 
 
 @dataclass(frozen=True)
@@ -61,17 +48,10 @@ class FieldTheoryTerms:
     v: list                        # v^i = m2 eps^i
 
 
-def _eps_matrices(layer):
-    m = layer.m_in
-    if layer.scalar_eps:
-        return [e * np.eye(m) for e in layer.eps]
-    return [np.asarray(e) for e in layer.eps]
-
-
 def field_terms(layer):
     """Aggregate (m2, H, v) for a layer's parameters."""
     m2 = layer.w0 @ layer.w0.T
-    eps = _eps_matrices(layer)
+    eps = [e * np.eye(layer.m_in) if layer.scalar_eps else e for e in layer.eps]
     return FieldTheoryTerms(
         m2=m2,
         channel_metric=[[ei.T @ m2 @ ej for ej in eps] for ei in eps],
@@ -79,29 +59,20 @@ def field_terms(layer):
     )
 
 
-def _require_periodic(sample, who):
-    if not sample.grid.periodic:
-        raise UnsupportedGroupError(
-            f"{who} integrates over the translation group and needs a periodic grid")
-
-
-def mse_loss_direct(sample, layer):
+def mse_loss_direct(phi, layer):
     """sum over grid points of ||Q[Phi]_mu||^2, unit Haar weight per point."""
-    _require_periodic(sample, "mse_loss_direct")
-    q = layer.forward(sample.phi)
+    q = layer.forward(phi)
     return float(np.sum(q * q))
 
 
-def mse_loss_decomposed(sample, terms, generators):
+def mse_loss_decomposed(phi, terms, generators):
     """Mass + kinetic + divergence form of the same loss."""
-    _require_periodic(sample, "mse_loss_decomposed")
-    mass, kinetic, div = loss_terms(sample, terms, generators)
+    mass, kinetic, div = loss_terms(phi, terms, generators)
     return mass + kinetic + div
 
 
-def loss_terms(sample, terms, generators):
+def loss_terms(phi, terms, generators):
     """The three aggregates (mass, kinetic, divergence) separately."""
-    phi = sample.phi
     ls = [materialize(g) for g in generators]
     lphi = [l @ phi for l in ls]
     mass = float(np.sum((phi @ terms.m2) * phi))
@@ -116,7 +87,7 @@ def loss_terms(sample, terms, generators):
     return mass, kinetic, div
 
 
-def loss_invariance_check(sample, layer, w):
+def loss_invariance_check(phi, layer, w):
     """|I(w . Phi) - I(Phi)| / I(Phi) for a group element w.
 
     Exact (up to rounding) when w commutes with the layer's generators and
@@ -124,19 +95,12 @@ def loss_invariance_check(sample, layer, w):
     grid that means fields free of Nyquist content, while integer shifts
     are exact for every field.
     """
-    base = mse_loss_direct(sample, layer)
-    moved = FieldSample(grid=sample.grid, phi=group_action(w, sample.phi))
-    return abs(mse_loss_direct(moved, layer) - base) / max(base, 1e-300)
+    base = mse_loss_direct(phi, layer)
+    moved = mse_loss_direct(group_action(w, phi), layer)
+    return abs(moved - base) / max(base, 1e-300)
 
 
 # -- Euler-Lagrange and Noether diagnostics (translation group, 1-D) ------
-
-def _check_translation(group):
-    if group != "translation":
-        raise UnsupportedGroupError(
-            f"variational diagnostics are implemented for the translation group "
-            f"only, got {group!r}")
-
 
 def _check_points(phi, need, who):
     """phi as a matrix of at least `need` grid points (rows)."""
@@ -155,20 +119,19 @@ def _central_second(phi, dx):
     return (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / (dx * dx)
 
 
-def el_residual(phi, dx, terms, group="translation"):
+def el_residual(phi, dx, terms):
     """Pointwise m2 phi - H phi'' on interior points, central differences.
 
     phi is (n, m) on a uniform non-periodic 1-D grid with spacing dx; for
     fields solving the Helmholtz equation the residual decays as O(dx^2).
     It needs an interior point, so n >= 3.
     """
-    _check_translation(group)
     phi = _check_points(phi, 3, "el_residual")
     h = terms.channel_metric[0][0]
     return phi[1:-1] @ terms.m2.T - _central_second(phi, dx) @ h.T
 
 
-def noether_divergence(phi, dx, terms, group="translation"):
+def noether_divergence(phi, dx, terms):
     """Max |dJ/dx| over interior points for J = phi'^T H phi' - phi^T m2 phi.
 
     J is the conserved current of the translation symmetry; on
@@ -176,7 +139,6 @@ def noether_divergence(phi, dx, terms, group="translation"):
     measures distance from stationarity plus O(dx^2) discretization.
     Differencing J, itself built from differences, needs n >= 5 points.
     """
-    _check_translation(group)
     phi = _check_points(phi, 5, "noether_divergence")
     dphi = _central_first(phi, dx)
     h = terms.channel_metric[0][0]
@@ -185,13 +147,13 @@ def noether_divergence(phi, dx, terms, group="translation"):
     return float(np.abs(_central_first(current[:, None], dx)).max())
 
 
-def helmholtz_field(n_points, eps_scale, half_width=1.0):
-    """cosh(x / |eps|) sampled on the symmetric interval [-L, L].
+def helmholtz_field(n_points, eps_scale):
+    """cosh(x / |eps|) sampled on the interval [-1, 1].
 
     The analytic stationary field of the 1-D translation loss with scalar
     channel, H = eps^2 m2: H phi'' = m2 phi for any m2 > 0.
     """
-    x = np.linspace(-half_width, half_width, n_points)
+    x = np.linspace(-1.0, 1.0, n_points)
     return x[1] - x[0], np.cosh(x / abs(eps_scale))[:, None]
 
 
@@ -210,28 +172,25 @@ def helmholtz_convergence(sizes, eps_scale, terms):
     return rows
 
 
-def metric_equivariance_check(eps, w0, xi, theta, x0=(1.0, 0.0)):
+def metric_equivariance_check(eps, w0, xi, theta):
     """2-tensor transformation law of the metric for the so(2) generator.
 
     Builds h(x) = [eps^T m2 eps] x outer(Lhat(x), Lhat(x)) from the exact
     2x2 rotation representation and returns the max-norm over channel
-    blocks of R(-xi) h(R(theta) x0) R(-xi)^T - h(R(theta - xi) x0).
+    blocks of R(-xi) h(R(theta) x0) R(-xi)^T - h(R(theta - xi) x0) at
+    x0 = (1, 0).
     """
     eps = as_matrix(np.atleast_2d(eps))
     w0 = as_matrix(np.atleast_2d(w0))
     m2 = w0 @ w0.T
     channel = eps.T @ m2 @ eps
 
-    def fld(x):   # the so(2) vector field (-y, x)
-        return np.array([-x[1], x[0]], dtype=np.float64)
+    def fld(a):   # the so(2) vector field (-y, x) at R(a) x0
+        return np.array([-np.sin(a), np.cos(a)])
 
-    def rot(a):
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, -s], [s, c]])
-
-    x0 = np.asarray(x0, dtype=np.float64)
-    v_theta = fld(rot(theta) @ x0)
-    v_shift = fld(rot(theta - xi) @ x0)
-    rminus = rot(-xi)
+    c, s = np.cos(-xi), np.sin(-xi)
+    rminus = np.array([[c, -s], [s, c]])
+    v_theta = fld(theta)
+    v_shift = fld(theta - xi)
     spatial = rminus @ np.outer(v_theta, v_theta) @ rminus.T - np.outer(v_shift, v_shift)
     return float(np.abs(channel).max() * np.abs(spatial).max())

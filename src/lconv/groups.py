@@ -26,6 +26,9 @@ by bilinear resampling with zero padding.  One resampling kernel builds
 both the rotation matrices and the rotated-image datasets, so the two
 share their corner weights and padding; they differ only in the order a
 matrix product sums the four terms.
+
+Elements and generators are bare matrices, with no grid object beside
+them: a grid of d points is implied by their d x d size.
 """
 
 from dataclasses import dataclass, field
@@ -41,31 +44,13 @@ class UnsupportedSizeError(LconvError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Discrete base space: a periodic/open line or a width x height image."""
-    kind: str                  # "line" | "image"
-    width: int
-    height: int = 1
-    periodic: bool = True
-
-    def __post_init__(self):
-        if self.kind not in ("line", "image"):
-            raise DimensionError(f"unknown grid kind {self.kind!r}")
-
-    @property
-    def d(self):
-        return self.width * (self.height if self.kind == "image" else 1)
-
-
-@dataclass(frozen=True)
 class GroupElement:
-    """A lifted group element: an invertible d x d matrix plus its label.
+    """A lifted group element: an invertible d x d matrix.
 
     `inverse` is the group-parametric inverse (e.g. the shift by -z), not
     a numerical matrix inverse; for resampling operators the two differ.
     """
     matrix: np.ndarray
-    label: str = ""
     inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -78,7 +63,6 @@ class Generator:
     """A Lie-algebra basis element, dense or low-rank (dense form = U V)."""
     dense: np.ndarray | None = None
     low_rank: tuple[np.ndarray, np.ndarray] | None = None
-    label: str = ""
 
     def __post_init__(self):
         if (self.dense is None) == (self.low_rank is None):
@@ -132,11 +116,8 @@ def _circulant(band):
 def sw_shift_matrix(d, z):
     """SW fractional shift by z on a periodic grid of even size d."""
     _check_even(d, "sw_shift_matrix")
-    return GroupElement(
-        matrix=_circulant(_sw_band(d, float(z))),
-        label=f"sw-shift z={float(z):g}",
-        inverse=_circulant(_sw_band(d, -float(z))),
-    )
+    return GroupElement(_circulant(_sw_band(d, float(z))),
+                        inverse=_circulant(_sw_band(d, -float(z))))
 
 
 def _sw_generator_band(d):
@@ -156,8 +137,7 @@ def sw_shift_generator(d):
     (I + (z/n) L)^n -> g(z) on the Nyquist complement as n grows.
     """
     _check_even(d, "sw_shift_generator")
-    return Generator(dense=_circulant(_sw_generator_band(d)),
-                     label=f"sw-shift-generator d={d}")
+    return Generator(dense=_circulant(_sw_generator_band(d)))
 
 
 def image_coords(width, height):
@@ -186,7 +166,7 @@ def sw_rotation_generator(width, height):
     ddy = np.kron(ly, np.eye(width))
     x, y = image_coords(width, height)
     dense = x[:, None] * ddy - y[:, None] * ddx
-    return Generator(dense=dense, label=f"sw-rotation-generator {width}x{height}")
+    return Generator(dense=dense)
 
 
 def _bilinear_resample(images, thetas, width, height):
@@ -233,8 +213,4 @@ def rotation_matrix_bilinear(width, height, theta):
         return np.ascontiguousarray(
             _bilinear_resample(np.eye(d), np.full(d, angle), width, height).T)
 
-    return GroupElement(
-        matrix=resampled(float(theta)),
-        label=f"rot theta={float(theta):g}",
-        inverse=resampled(-float(theta)),
-    )
+    return GroupElement(resampled(float(theta)), inverse=resampled(-float(theta)))

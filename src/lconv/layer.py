@@ -283,11 +283,10 @@ def save_checkpoint(layer, directory, extra=None):
         if isinstance(g, Generator) and g.low_rank is not None:
             write_matrix(os.path.join(directory, f"gen_{i}_U.mat"), g.low_rank[0])
             write_matrix(os.path.join(directory, f"gen_{i}_V.mat"), g.low_rank[1])
-            gens.append({"form": "low_rank", "label": g.label})
+            gens.append({"form": "low_rank"})
         else:
             write_matrix(os.path.join(directory, f"gen_{i}.mat"), materialize(g))
-            gens.append({"form": "dense",
-                         "label": g.label if isinstance(g, Generator) else ""})
+            gens.append({"form": "dense"})
     manifest = {"scalar_eps": layer.scalar_eps, "generators": gens,
                 "extra": extra or {}}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
@@ -308,9 +307,8 @@ def _read_manifest(directory):
     for key, kind in (("scalar_eps", bool), ("generators", list), ("extra", dict)):
         if not isinstance(manifest.get(key), kind):
             raise FormatError(f"{path}: {key!r} is missing or not a {kind.__name__}")
-    for desc in manifest["generators"]:
-        if not (isinstance(desc, dict) and desc.get("form") in ("dense", "low_rank")
-                and isinstance(desc.get("label"), str)):
+    for desc in manifest["generators"]:   # an older entry's "label" is ignored
+        if not (isinstance(desc, dict) and desc.get("form") in ("dense", "low_rank")):
             raise FormatError(f"{path}: bad generator entry {desc!r}")
     # older manifests record the layer form; only the residual one loads
     if manifest.get("has_bias", False) or not manifest.get("include_residual", True):
@@ -334,9 +332,8 @@ def load_checkpoint(directory):
         if desc["form"] == "low_rank":
             u = read_matrix(os.path.join(directory, f"gen_{i}_U.mat"))
             v = read_matrix(os.path.join(directory, f"gen_{i}_V.mat"))
-            gens.append(Generator(low_rank=(u, v), label=desc["label"]))
+            gens.append(Generator(low_rank=(u, v)))
         else:
             gens.append(Generator(
-                dense=read_matrix(os.path.join(directory, f"gen_{i}.mat")),
-                label=desc["label"]))
+                dense=read_matrix(os.path.join(directory, f"gen_{i}.mat"))))
     return LConvLayer(w0, eps, gens, scalar_eps=manifest["scalar_eps"]), manifest

@@ -1,6 +1,7 @@
 """Every public function and class of the library has a caller outside its
 own tests: library code other than its own definition, a demo, the bench
-or the acceptance suite.  A reference is an AST name or attribute, so a
+or the acceptance suite; and each defaulted parameter of a public function
+is set by some call there.  A reference is an AST name or attribute, so a
 mention in a docstring or comment does not count."""
 
 import ast
@@ -52,3 +53,51 @@ def test_every_public_symbol_has_a_caller():
     assert not uncalled, (
         f"{', '.join(uncalled)}: referenced by no library code but its own "
         "definition, no demo, no bench script and no acceptance test")
+
+
+def _targets(expr):
+    """The names an expression may call: a name, an attribute, or either
+    branch of a conditional expression."""
+    if isinstance(expr, ast.IfExp):
+        return _targets(expr.body) | _targets(expr.orelse)
+    return _referenced(expr) if isinstance(expr, (ast.Name, ast.Attribute)) else set()
+
+
+TREES = [*LIBRARY.values(), *CALLERS.values()]
+# a local name bound to functions, as in `train = train_a if c else train_b`
+ALIASES = {}
+for node in (n for tree in TREES for n in ast.walk(tree)):
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)):
+        ALIASES.setdefault(node.targets[0].id, set()).update(_targets(node.value))
+# each call with the function names it may reach
+CALLS = [(call, {m for n in _targets(call.func) for m in {n} | ALIASES.get(n, set())})
+         for tree in TREES for call in ast.walk(tree) if isinstance(call, ast.Call)]
+
+
+def _sets(call, position, name):
+    """Whether `call` passes the parameter at `position` (None for a
+    keyword-only one) called `name`; a * or ** argument may pass any."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A default no caller overrides is a constant dressed as an option."""
+    unset = []
+    for symbol, definition in PUBLIC:
+        if not isinstance(definition, ast.FunctionDef):
+            continue
+        args = definition.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        calls = [call for call, names in CALLS if definition.name in names]
+        unset += [f"lconv.{symbol}({name}=)" for i, name in defaulted
+                  if not any(_sets(call, i, name) for call in calls)]
+    assert not unset, (
+        f"{', '.join(unset)}: set by no call in library code, a demo, the "
+        "bench or the acceptance suite")

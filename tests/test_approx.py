@@ -82,13 +82,13 @@ def dense_power(gen, z, n):
 
 
 def _odd_circulant():
-    return Generator(dense=_circulant(_sw_generator_band(7)), label="odd")
+    return Generator(dense=_circulant(_sw_generator_band(7)))
 
 
 def _one_ulp_off_sw():
     l = sw_shift_generator(16).dense.copy()
     l[3, 5] = np.nextafter(l[3, 5], np.inf)
-    return Generator(dense=l, label="sw one ulp off")
+    return Generator(dense=l)
 
 
 def _low_rank():
@@ -102,7 +102,9 @@ CIRCULANTS = [sw_shift_generator(d) for d in (8, 12, 20, 64)] + [_odd_circulant(
 class TestCirculantPower:
     """Exactly circulant generators are powered in Fourier space."""
 
-    @pytest.mark.parametrize("gen", CIRCULANTS, ids=lambda g: g.label)
+    @pytest.mark.parametrize("gen", CIRCULANTS, ids=[
+        "sw-shift-generator d=8", "sw-shift-generator d=12",
+        "sw-shift-generator d=20", "sw-shift-generator d=64", "odd"])
     @pytest.mark.parametrize("z", [0.0, 2.0, -2.3])
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
     def test_matches_dense_power(self, gen, z, n):
@@ -120,10 +122,11 @@ class TestCirculantPower:
 
     @pytest.mark.parametrize("gen", [
         sw_rotation_generator(7, 7),
-        Generator(dense=SeededRng(47).uniform(10, 10), label="random dense"),
+        Generator(dense=SeededRng(47).uniform(10, 10)),
         _low_rank(),
         _one_ulp_off_sw(),
-    ], ids=lambda g: g.label or "low rank")
+    ], ids=["sw-rotation-generator 7x7", "random dense", "low rank",
+            "sw one ulp off"])
     def test_other_generators_bit_identical_to_dense_power(self, gen):
         for z, n in ((2.0, 5), (-2.3, 64)):
             assert np.array_equal(approx_group_element(gen, z, n).matrix,

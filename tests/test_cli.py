@@ -364,9 +364,9 @@ def _rewrite_manifest(text):
     return edit
 
 
-def _overwrite(name, shape):
-    """An edit that replaces the checkpoint matrix `name` by zeros of `shape`."""
-    return lambda ckpt: write_matrix(ckpt / name, np.zeros(shape))
+def _overwrite(name, shape, value=0.0):
+    """An edit that replaces the checkpoint matrix `name` by `value`s of `shape`."""
+    return lambda ckpt: write_matrix(ckpt / name, np.full(shape, value))
 
 
 # name: (trained run whose checkpoint is copied, edit of the copy, task resuming it)
@@ -379,6 +379,8 @@ CHECKPOINT_EDITS = {
     "generator-48x48": ("run", _overwrite("gen_0.mat", (48, 48)), FIXED),
     "generator-49x3": ("run", _overwrite("gen_0.mat", (49, 3)), FIXED),
     "w0-2x1": ("run", _overwrite("W0.mat", (2, 1)), FIXED),
+    "w0-zero": ("run", _overwrite("W0.mat", (1, 1)), FIXED),
+    "eps-half": ("run", _overwrite("eps_0.mat", (1, 1), 0.5), FIXED),
     "w0-angle-zero": ("run_angle", _overwrite("W0.mat", (10, 10)), ANGLE),
     "head-v1-size": ("run_angle", _overwrite("head_v1.mat", (10, 4)), ANGLE),
     "adam-m-v1-size": ("run_angle", _overwrite("adam_m_v1.mat", (10, 4)), ANGLE),
@@ -417,7 +419,8 @@ def _run_on_copy(tmp_path, trained, command, saved, change, task):
 
 @pytest.mark.parametrize("command, edit", [
     *(("eval", e) for e in MANIFEST_EDITS if e != "no-epoch"),
-    *(("eval", e) for e in ("scalar-eps-0x3", "generator-49x3", "w0-2x1")),
+    *(("eval", e) for e in ("scalar-eps-0x3", "generator-49x3", "w0-2x1",
+                            "w0-zero", "eps-half")),
     *(("resume", e) for e in CHECKPOINT_EDITS),
 ])
 def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command, edit):

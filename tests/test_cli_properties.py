@@ -80,9 +80,8 @@ CASES = {
     "theory": [
         configs({"sizes": (st.lists(st.integers(5, 40), min_size=1, max_size=3), [4]),
                  "eps_scale": (st.floats(0.1, 2.0), 0.0),
-                 "seed": (st.integers(0, 9), "1"),
-                 "group": (st.just("translation"), "so3")},
-                {"check": "helmholtz"}, ["grid_size", "channels", "instances"]),
+                 "seed": (st.integers(0, 9), "1")},
+                {"check": "helmholtz"}, ["grid_size", "channels", "instances", "group"]),
         configs({"grid_size": (EVEN, 7), "channels": (st.integers(1, 3), 0),
                  "instances": (st.integers(1, 3), 0)},
                 {"check": "decomposition"}, ["sizes", "eps_scale"])],

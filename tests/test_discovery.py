@@ -11,7 +11,8 @@ from lconv.discovery import (AngleRegressionTask, FixedAngleTask,
                              gen_fixed_angle_dataset, load_train_state,
                              rotate_images, save_train_state, sgd_step,
                              train_fixed_angle, train_angle_regression,
-                             _angle_forward, _angle_params, _shared_layer)
+                             _angle_forward, _angle_params, _frozen,
+                             _shared_layer)
 from lconv.groups import UnsupportedSizeError
 from lconv.layer import LConvLayer
 from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
@@ -360,10 +361,10 @@ class TestSharedLayer:
     def test_holds_the_trained_parameters(self):
         rng = SeededRng(45)
         params = {"gen": rng.uniform(6, 6), "eps": rng.uniform(3, 3)}
-        layer = _shared_layer(params, np.eye(3))
+        layer = _shared_layer(params, {"w0": np.eye(3)})
         assert layer.generators[0] is params["gen"] and layer.eps[0] is params["eps"]
-        # no "eps" entry: eps is not trained and is the scalar 1
-        layer = _shared_layer({"gen": params["gen"]}, np.eye(1))
+        # the fixed-angle task freezes eps at the scalar 1
+        layer = _shared_layer({"gen": params["gen"]}, _frozen(FixedAngleTask()))
         assert layer.generators[0] is params["gen"]
         assert layer.scalar_eps and layer.eps == [1.0]
 
@@ -371,7 +372,7 @@ class TestSharedLayer:
         # float32 eps is converted, i.e. copied, by the layer
         params = {"gen": np.eye(4), "eps": np.eye(2, dtype=np.float32)}
         with pytest.raises(RuntimeError, match="copied"):
-            _shared_layer(params, np.eye(2))
+            _shared_layer(params, {"w0": np.eye(2)})
 
 
 class TestAngleRegressionPieces:

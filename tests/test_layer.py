@@ -18,8 +18,8 @@ def random_layer(rng, d, m_in, m_out, n_gen=1):
     U(+-1/sqrt(d)): the generator term a perturbation of the residual path."""
     w0 = rng.uniform_signed(1.0 / np.sqrt(m_in), (m_in, m_out))
     eps = [rng.uniform_signed(0.1 / n_gen, (m_in, m_in)) for _ in range(n_gen)]
-    gens = [Generator(dense=rng.uniform_signed(1.0 / np.sqrt(d), (d, d)),
-                      label=f"learned[{i}]") for i in range(n_gen)]
+    gens = [Generator(dense=rng.uniform_signed(1.0 / np.sqrt(d), (d, d)))
+            for _ in range(n_gen)]
     return LConvLayer(w0, eps, gens)
 
 
@@ -267,9 +267,8 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = SeededRng(37)
         layer = LConvLayer(rng.uniform(3, 2), [rng.uniform(3, 3), rng.uniform(3, 3)],
-                           [Generator(dense=rng.uniform(5, 5), label="a"),
-                            Generator(low_rank=(rng.uniform(5, 2), rng.uniform(2, 5)),
-                                      label="b")])
+                           [Generator(dense=rng.uniform(5, 5)),
+                            Generator(low_rank=(rng.uniform(5, 2), rng.uniform(2, 5)))])
         save_checkpoint(layer, tmp_path / "ckpt", extra={"epoch": 7})
         back, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["extra"]["epoch"] == 7
@@ -289,6 +288,27 @@ class TestCheckpoint:
         assert np.array_equal(old.w0, layer.w0)
         for a, b in zip(old.eps + old.generators, layer.eps + layer.generators):
             assert np.array_equal(materialize(a), materialize(b))
+        assert np.array_equal(old.forward(f), layer.forward(f))
+
+    def test_generator_entries_hold_only_form(self, tmp_path):
+        rng = SeededRng(38)
+        layer = LConvLayer(rng.uniform(2, 2), [rng.uniform(2, 2), rng.uniform(2, 2)],
+                           [Generator(dense=rng.uniform(4, 4)),
+                            Generator(low_rank=(rng.uniform(4, 1), rng.uniform(1, 4)))])
+        save_checkpoint(layer, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        written = json.loads(path.read_text())
+        assert written["generators"] == [{"form": "dense"}, {"form": "low_rank"}]
+        # older manifests also name each generator; the name is ignored
+        path.write_text(json.dumps(dict(written, generators=[
+            {"form": "dense", "label": "learned[0]"},
+            {"form": "low_rank", "label": ""}])))
+        old, _ = load_checkpoint(tmp_path / "ckpt")
+        assert np.array_equal(old.w0, layer.w0)
+        for a, b in zip(old.eps + old.generators, layer.eps + layer.generators):
+            assert np.array_equal(materialize(a), materialize(b))
+        assert old.generators[1].low_rank is not None
+        f = rng.uniform(4, 2)
         assert np.array_equal(old.forward(f), layer.forward(f))
 
 
