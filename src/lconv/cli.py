@@ -27,10 +27,9 @@ import numpy as np
 from . import __version__
 from .approx import shift_approx_sweep
 from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
-                        TrainingDivergedError, _check_frozen, _eval_linear,
-                        gen_angle_pairs_dataset, gen_fixed_angle_dataset,
-                        load_train_state, train_angle_regression,
-                        train_fixed_angle)
+                        TrainingDivergedError, _check_frozen, _check_resume,
+                        _eval_linear, gen_angle_pairs_dataset, gen_fixed_angle_dataset,
+                        load_train_state, train_angle_regression, train_fixed_angle)
 from .fieldtheory import (FieldTheoryTerms, field_terms, helmholtz_convergence,
                           mse_loss_decomposed, mse_loss_direct)
 from .groups import _check_even, sw_shift_generator
@@ -187,6 +186,7 @@ def cmd_train(cfg, args):
     if "resume" in cfg:
         with _config_errors():
             resume = load_train_state(task, cfg["resume"])
+            _check_resume(resume, opt)
     out_dir = _echo_run("train", dict(cfg, seed=task.seed))
     train = train_fixed_angle if fixed else train_angle_regression
     try:
@@ -224,11 +224,9 @@ def cmd_eval(cfg, args):
 
 
 def cmd_approx(cfg, args):
-    _take(cfg, ("d", "d_sweep", "z", "n_values", "out_dir"))
-    if ("d" in cfg) == ("d_sweep" in cfg):
-        raise ConfigError("approx needs either 'd' or 'd_sweep'")
+    _take(cfg, ("d_sweep", "z", "n_values", "out_dir"), required=("d_sweep",))
     with _config_errors():
-        ds = _ints("d", [cfg["d"]]) if "d" in cfg else _ints("d_sweep", cfg["d_sweep"])
+        ds = _ints("d_sweep", cfg["d_sweep"])
         for d in ds:
             _check_even(d, "approx")
         n_values = _ints("n_values", cfg.get("n_values", [4, 8, 16, 32, 64, 128, 256]), 1)

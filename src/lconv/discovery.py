@@ -1,4 +1,4 @@
-"""Symmetry discovery: datasets, optimizers, and the two training pipelines.
+"""Symmetry discovery: datasets, Adam, and the two training pipelines.
 
 Fixed-small-angle regression: random 7x7 images, outputs rotated by a
 fixed theta = pi/10; a single residual layer with W0 = 1 frozen learns a
@@ -18,7 +18,7 @@ seed dependent).
 Both pipelines train through one epoch loop, `_fit`: a pipeline hands it
 a `batch(idx) -> (loss, grads)` closure and an `evaluate()` closure, and
 the loop owns the shuffle, the minibatches, the divergence check, the
-Adam or SGD step, the per-epoch loss curve and exact resume.  Everything
+Adam step, the per-epoch loss curve and exact resume.  Everything
 is deterministic given (seed, config): each run draws from separate PCG64
 streams at fixed offsets from the task seed,
 
@@ -62,29 +62,20 @@ def _check_fields(obj, **low):
         check_value(f.name, getattr(obj, f.name), f.type, low.get(f.name))
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # moment decays, denominator floor
+
+
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"            # "adam" | "sgd"
+    kind: str = "adam"
     lr: float = 1e-2
     batch_size: int = 64
     epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        _check_fields(self, batch_size=1, epochs=0, beta1=0, beta2=0)
-        if self.kind not in ("adam", "sgd"):
-            raise LconvError(f"unknown optimizer kind {self.kind!r}")
-        if not (self.lr > 0 and self.eps > 0 and self.beta1 < 1 and self.beta2 < 1):
-            raise LconvError(f"need lr, eps > 0 and beta1, beta2 < 1, got {self}")
-
-
-def _check_grads(grads):
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(
-                f"non-finite gradient for parameter {name!r}; update rejected")
+        _check_fields(self, batch_size=1, epochs=0)
+        if self.kind != "adam" or not self.lr > 0:
+            raise LconvError(f"need kind 'adam' and lr > 0, got {self}")
 
 
 def adam_init(params, moments=None):
@@ -110,29 +101,23 @@ def adam_init(params, moments=None):
     return state
 
 
-def adam_step(params, grads, state, cfg):
+def adam_step(grads, state, cfg):
     """Standard bias-corrected Adam update, in place, of the parameters
-    `adam_init` moved into its buffer; `grads` has one entry per parameter."""
+    `adam_init` moved into its buffer; `grads` has one entry per parameter.
+    A non-finite gradient raises NonFiniteGradientError and updates nothing."""
     g = np.concatenate([np.ravel(grads[k]) for k in state["m"]])
     if not np.isfinite(g).all():
-        _check_grads(grads)
+        name = next(k for k in state["m"] if not np.isfinite(grads[k]).all())
+        raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
     state["t"] += 1
     t = state["t"]
-    b1, b2 = cfg.beta1, cfg.beta2
     p, m, v = state["flat"]
-    m *= b1
-    m += (1 - b1) * g
-    v *= b2
-    v += (1 - b2) * g * g
-    p -= cfg.lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + cfg.eps)
-    return params, state
-
-
-def sgd_step(params, grads, cfg):
-    _check_grads(grads)
-    for k, g in grads.items():
-        params[k] -= cfg.lr * g
-    return params
+    m *= ADAM_B1
+    m += (1 - ADAM_B1) * g
+    v *= ADAM_B2
+    v += (1 - ADAM_B2) * g * g
+    p -= cfg.lr * (m / (1 - ADAM_B1 ** t)) / (
+        np.sqrt(v / (1 - ADAM_B2 ** t)) + ADAM_EPS)
 
 
 @dataclass
@@ -221,19 +206,17 @@ def _safe_corr(a, b):
 
 def save_train_state(directory, layer, params, state, next_epoch):
     """Layer checkpoint plus the head (every parameter but gen and eps) and
-    the optimizer moments, enough to resume exactly."""
+    the Adam moments, enough to resume exactly."""
     head = [k for k in params if k not in ("gen", "eps")]
-    extra = {"epoch": int(next_epoch),
-             "adam_t": int(state["t"]) if state else 0, "head": head}
+    extra = {"epoch": int(next_epoch), "adam_t": int(state["t"]), "head": head}
     save_checkpoint(layer, directory, extra=extra)
     for name in head:
         write_matrix(os.path.join(directory, f"head_{name}.mat"),
                      np.atleast_2d(params[name]))
-    if state:
-        for name in params:
-            for moment in ("m", "v"):
-                write_matrix(os.path.join(directory, f"adam_{moment}_{name}.mat"),
-                             np.atleast_2d(state[moment][name]))
+    for name in params:
+        for moment in ("m", "v"):
+            write_matrix(os.path.join(directory, f"adam_{moment}_{name}.mat"),
+                         np.atleast_2d(state[moment][name]))
 
 
 def _frozen(task):
@@ -265,14 +248,14 @@ def _init_params(task):
 
 def load_train_state(task, directory):
     """Inverse of save_train_state for `task`'s model: (params, Adam
-    state or None, first epoch), the `resume` argument of the pipelines.
+    moments, first epoch), the `resume` argument of the pipelines.
     The task declares each parameter's name and shape and, in `_frozen`,
     the fixed values; an array that does not fit them, or a checkpoint of
     another model, raises LconvError."""
     layer, manifest = load_checkpoint(directory)
     extra = manifest["extra"]
-    if not all(type(extra.get(k)) is int for k in ("epoch", "adam_t")):
-        raise FormatError(f"{directory}: manifest extra lacks an integer epoch or adam_t")
+    if not all(type(extra.get(k)) is int and extra[k] >= 0 for k in ("epoch", "adam_t")):
+        raise FormatError(f"{directory}: manifest extra needs integers epoch, adam_t >= 0")
     like = _init_params(task)
     head = [k for k in like if k not in ("gen", "eps")]
     if (layer.n_generators != 1 or layer.scalar_eps == ("eps" in like)
@@ -293,27 +276,29 @@ def load_train_state(task, directory):
         return a.reshape(np.shape(like[name]))
 
     params = {k: read(k, None if k in saved else f"head_{k}.mat") for k in like}
-    state = None
-    if os.path.exists(os.path.join(directory, "adam_m_gen.mat")):
-        state = {"t": extra["adam_t"], **{
-            m: {k: read(k, f"adam_{m}_{k}.mat") for k in like} for m in ("m", "v")}}
-    return params, state, extra["epoch"]
+    moments = {"t": extra["adam_t"], **{
+        m: {k: read(k, f"adam_{m}_{k}.mat") for k in like} for m in ("m", "v")}}
+    return params, moments, extra["epoch"]
 
 
-def _start(task, resume, opt):
-    """(params, optimizer state, first epoch): fresh parameters at epoch 0,
-    or the `load_train_state` triple `resume`, whose params it takes over;
-    Adam moments start at zero when absent."""
-    params, state, start_epoch = resume or (_init_params(task), None, 0)
-    if opt.kind == "adam":
-        state = adam_init(params, state)
-    return params, state, start_epoch
+def _check_resume(resume, opt):
+    """Raise LconvError when the `load_train_state` triple `resume` is past
+    opt.epochs, which would pass its parameters off as trained for fewer."""
+    if resume and resume[2] > opt.epochs:
+        raise LconvError(f"resume at epoch {resume[2]} is past epochs = {opt.epochs}")
+
+
+def _start(task, resume):
+    """(params, Adam state, first epoch): fresh at epoch 0, or from the
+    `load_train_state` triple `resume`, whose params it takes over."""
+    params, moments, start_epoch = resume or (_init_params(task), None, 0)
+    return params, adam_init(params, moments), start_epoch
 
 
 def _shared_layer(params, frozen):
     """The layer trained through `params`, with `_frozen` values `frozen`:
     it holds params["gen"] (and params["eps"] when eps is trained) itself,
-    as the optimizers update them in place; a copy would freeze them."""
+    as Adam updates them in place; a copy would freeze them."""
     scalar = "eps" in frozen
     layer = LConvLayer(frozen["w0"], [frozen["eps"] if scalar else params["eps"]],
                        [params["gen"]], scalar_eps=scalar)
@@ -323,7 +308,7 @@ def _shared_layer(params, frozen):
     return layer
 
 
-def _fit(report, params, state, opt, start_epoch, n, batch, evaluate):
+def _fit(report, state, opt, start_epoch, n, batch, evaluate):
     """The epoch loop shared by both pipelines.
 
     `batch(idx)` returns the minibatch loss and the gradients for the
@@ -346,10 +331,7 @@ def _fit(report, params, state, opt, start_epoch, n, batch, evaluate):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}", report)
             total += batch_loss * idx.size
-            if opt.kind == "adam":
-                adam_step(params, grads, state, opt)
-            else:
-                sgd_step(params, grads, opt)
+            adam_step(grads, state, opt)
         report.loss_curve.append((epoch, total / n, evaluate()))
     report.final_test_mse = (report.loss_curve[-1][2] if report.loss_curve
                              else evaluate())
@@ -366,6 +348,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     oracle cannot use (fewer samples than pixels) fails at once.
     """
     t0 = time.perf_counter()
+    _check_resume(resume, opt)
     gt = sw_rotation_generator(task.width, task.height).dense
     data = gen_fixed_angle_dataset(task)
     x_train, y_train = data["x_train"], data["y_train"]
@@ -373,7 +356,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     d = task.d
     r_ls = least_squares_solve(x_train, y_train)
 
-    params, state, start_epoch = _start(task, resume, opt)
+    params, state, start_epoch = _start(task, resume)
     layer = _shared_layer(params, _frozen(task))
 
     def batch(idx):
@@ -386,7 +369,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
         return float(np.mean(diff * diff)), {"gen": grads.d_generators[0]}
 
     report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
-    _fit(report, params, state, opt, start_epoch, x_train.shape[1], batch,
+    _fit(report, state, opt, start_epoch, x_train.shape[1], batch,
          lambda: _eval_linear(layer, x_test, y_test))
 
     learned = params["gen"]
@@ -503,13 +486,14 @@ def _angle_backward(params, layer, y, theta, pred, stash):
 def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
     t0 = time.perf_counter()
+    _check_resume(resume, opt)
     gt = sw_rotation_generator(task.width, task.height).dense
     data = gen_angle_pairs_dataset(task)
     m, t = task.m_copies, task.recursions
     f_train, y_train = data["f_train"], data["y_train"]
     theta_train = data["theta_train"]
 
-    params, state, start_epoch = _start(task, resume, opt)
+    params, state, start_epoch = _start(task, resume)
     layer = _shared_layer(params, _frozen(task))
 
     def batch(idx):
@@ -521,7 +505,7 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
 
     report = TrainReport(kind="angle-regression", config=_echo(task, opt),
                          seed=task.seed)
-    _fit(report, params, state, opt, start_epoch, theta_train.size, batch,
+    _fit(report, state, opt, start_epoch, theta_train.size, batch,
          lambda: _eval_angle(params, layer, data, t, m))
 
     report.correlations = {

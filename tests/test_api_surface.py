@@ -1,11 +1,16 @@
 """Every public function and class of the library has a caller outside its
 own tests: library code other than its own definition, a demo, the bench
-or the acceptance suite; and each defaulted parameter of a public function
-is set by some call there.  A reference is an AST name or attribute, so a
-mention in a docstring or comment does not count."""
+or the acceptance suite; and each defaulted parameter of a public function,
+and each field of a config dataclass, is set by some call there.  A
+reference is an AST name or attribute, so a mention in a docstring or
+comment does not count."""
 
 import ast
 import pathlib
+from dataclasses import fields
+
+from lconv.cli import _DATA_TASKS, _TRAIN_TASKS
+from lconv.discovery import OptimizerConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -101,3 +106,15 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not unset, (
         f"{', '.join(unset)}: set by no call in library code, a demo, the "
         "bench or the acceptance suite")
+
+
+def test_every_config_field_is_set_by_a_caller():
+    """A config field no caller passes is a constant dressed as a key."""
+    unset = []
+    for cls in {OptimizerConfig, *_DATA_TASKS.values(), *_TRAIN_TASKS.values()}:
+        calls = [call for call, names in CALLS if cls.__name__ in names]
+        unset += [f"lconv.{cls.__name__}({f.name}=)" for i, f in enumerate(fields(cls))
+                  if not any(_sets(call, i, f.name) for call in calls)]
+    assert not unset, (
+        f"{', '.join(sorted(unset))}: passed by no call in library code, a demo, "
+        "the bench or the acceptance suite")

@@ -95,7 +95,7 @@ ANGLE = {"task": "angle-regression", "n_train": 20, "n_test": 5, "optimizer": OP
     ("train", dict(FIXED, optimizer=OPT, hidden=2)),
     ("train", dict(ANGLE, theta=0.3)),
     ("eval", {"checkpoint": "ck", "data_dir": "data", "seed": 1}),
-    ("approx", {"d": 8, "seed": 1}),
+    ("approx", {"d_sweep": [8], "seed": 1}),
     ("theory", {"check": "helmholtz", "grid_size": 8}),
     ("theory", {"check": "helmholtz", "channels": 2}),
     ("theory", {"check": "helmholtz", "instances": 2}),
@@ -122,11 +122,11 @@ NAN = float("nan")
     ("train", dict(FIXED, optimizer={"epochs": "1"})),
     ("train", dict(FIXED, optimizer={"lr": NAN})),
     ("train", dict(FIXED, optimizer=OPT, resume=5)),
-    ("approx", {"d": 7}),
-    ("approx", {"d": "abc"}),
+    ("approx", {"d_sweep": [7]}),
+    ("approx", {"d_sweep": ["abc"]}),
     ("approx", {"d_sweep": [16], "n_values": [0]}),
     ("approx", {"d": 8, "d_sweep": [16]}),
-    ("approx", {"d": 8, "z": NAN}),
+    ("approx", {"d_sweep": [8], "z": NAN}),
     ("theory", {"check": "decomposition", "grid_size": 7}),
     ("theory", {"check": "decomposition", "channels": 0}),
     ("theory", {"check": "decomposition", "instances": 1.5}),
@@ -134,6 +134,9 @@ NAN = float("nan")
     ("theory", {"check": "helmholtz", "eps_scale": 0}),
     ("theory", {"check": "helmholtz", "seed": "1"}),
     ("theory", {"check": "bogus"}),
+    ("train", dict(FIXED, optimizer=dict(OPT, kind="sgd"))),
+    ("train", dict(FIXED, optimizer=dict(OPT, beta1=0.9))),
+    ("approx", {"d": 8}),
 ])
 def test_bad_value_rejected_before_writing(tmp_path, command, cfg):
     path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
@@ -243,12 +246,14 @@ class TestTrain:
         (FIXED, ANGLE, 2),
         (ANGLE, dict(ANGLE, m_copies=4), 2),
         (FIXED, dict(FIXED, width=6), 2),
+        # epoch-2 parameters would be reported and saved as a 1-epoch run
+        (dict(FIXED, optimizer=dict(OPT, epochs=2)), FIXED, 2),
     ], ids=["missing", "angle-into-fixed", "fixed-into-angle", "eps-shape",
-            "generator-shape"])
+            "generator-shape", "past-epochs"])
     def test_bad_resume_rejected_before_writing(self, tmp_path, saved, cfg, code):
         if saved is not None:
             path = write_cfg(tmp_path / "s.json", dict(
-                saved, optimizer=OPT, out_dir=str(tmp_path / "saved")))
+                {"optimizer": OPT}, **saved, out_dir=str(tmp_path / "saved")))
             assert run("train", "--config", path) == 0
         path = write_cfg(tmp_path / "c.json", dict(
             cfg, optimizer=OPT, resume=str(tmp_path / "saved" / "checkpoint"),
@@ -375,6 +380,8 @@ CHECKPOINT_EDITS = {
        for name, text in MANIFEST_EDITS.items()},
     "head-not-list": ("run", _rewrite_manifest(lambda m: json.dumps(
         dict(m, extra=dict(m["extra"], head=5)))), FIXED),
+    "adam-t-negative": ("run", _rewrite_manifest(lambda m: json.dumps(
+        dict(m, extra=dict(m["extra"], adam_t=-1)))), FIXED),
     "scalar-eps-0x3": ("run", _overwrite("eps_0.mat", (0, 3)), FIXED),
     "generator-48x48": ("run", _overwrite("gen_0.mat", (48, 48)), FIXED),
     "generator-49x3": ("run", _overwrite("gen_0.mat", (49, 3)), FIXED),
@@ -428,7 +435,8 @@ def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command
 
 
 @pytest.mark.parametrize("command, name", [("eval", "gen_0.mat"),
-                                           ("resume", "adam_v_gen.mat")])
+                                           ("resume", "adam_v_gen.mat"),
+                                           ("resume", "adam_m_gen.mat")])
 def test_missing_checkpoint_file_is_io_error(tmp_path, trained, command, name):
     assert _run_on_copy(tmp_path, trained, command, "run",
                         lambda ckpt: (ckpt / name).unlink(), FIXED) == 4
