@@ -33,7 +33,7 @@ for w, z in ((3.0, -5.0), (0.3, 0.7)):
     print(f"   ||g({w})g({z}) - g({w + z})|| = {err:.3e}  {note}")
 
 print("== the generator differentiates band-limited signals ==")
-gen = sw_shift_generator(d).dense
+gen = sw_shift_generator(d)
 x = np.arange(d)
 f = np.sin(2 * np.pi * x / d) + 0.25 * np.cos(6 * np.pi * x / d)
 fprime = (2 * np.pi / d) * np.cos(2 * np.pi * x / d) \

@@ -21,13 +21,13 @@ for n, eta, err, corr in shift_approx_sweep(d, z, [4, 8, 16, 32, 64, 256]):
 
 print("== error orders ==")
 etas = [0.2, 0.1, 0.05, 0.025]
-single = [np.linalg.norm(np.eye(d) + e * sw_shift_generator(d).dense
+single = [np.linalg.norm(np.eye(d) + e * sw_shift_generator(d)
                          - sw_shift_matrix(d, e).matrix) for e in etas]
 print(f"   single-step slope (expect ~2): "
       f"{fit_loglog_slope(etas, single):.3f}")
 ns = [32, 64, 128, 256]
 gen = sw_shift_generator(d)
 exact = sw_shift_matrix(d, z).matrix
-comp = [np.linalg.norm(approx_group_element(gen, z, n).matrix - exact) for n in ns]
+comp = [np.linalg.norm(approx_group_element(gen, z, n) - exact) for n in ns]
 print(f"   composed slope at fixed z (expect ~1): "
       f"{fit_loglog_slope([z / n for n in ns], comp):.3f}")

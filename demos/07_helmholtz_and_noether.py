@@ -19,7 +19,7 @@ terms = FieldTheoryTerms(m2=np.array([[1.0]]),
                          v=[np.array([[eps]])])
 
 print("grid    EL residual    Noether divergence")
-rows = helmholtz_convergence([32, 64, 128, 256], eps, terms)
+rows = helmholtz_convergence([32, 64, 128, 256], eps)
 for n, res, div in rows:
     print(f"{n:5d}   {res:10.3e}    {div:10.3e}")
 for name, col in (("EL", 1), ("Noether", 2)):

@@ -1,11 +1,11 @@
 """Lie-algebra convolutional layers and symmetry-discovery tooling.
 
-Subpackages by theme:
+Modules by theme:
 
 - numerics:     matrices, RNG, least squares, gradient checking, file I/O
 - groups:       Shannon-Whittaker shifts and rotations
 - layer:        the L-conv layer with hand-written reverse-mode gradients
-- discovery:    datasets, Adam/SGD, the two generator-learning pipelines
+- discovery:    datasets, Adam, the two generator-learning pipelines
 - approx:       building finite group convolutions out of near-identity steps
 - fieldtheory:  the invariant-MSE decomposition and its variational checks
 - cli:          reproducible command-line runs of all of the above

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupElement, _circulant, sw_shift_generator, sw_shift_matrix
-from .layer import materialize
+from .groups import _circulant, sw_shift_generator, sw_shift_matrix
 from .numerics import DimensionError, as_matrix, check_value, cosine_correlation
 
 
@@ -63,7 +62,8 @@ def gconv_reference(f, kernel):
 
 
 def approx_group_element(gen, z, n):
-    """(I + (z/n) L)^n: n near-identity steps along the generator.
+    """(I + (z/n) L)^n as a d x d array: n near-identity steps along the
+    d x d generator L.
 
     An exactly circulant L (bit-equal to its diagonal shift) has the DFT
     eigenvalues lam = fft(L[:, 0]), so this is the circulant I + ifft((1 +
@@ -73,16 +73,14 @@ def approx_group_element(gen, z, n):
     check_value("step count n", n, int)
     if n < 1:
         raise DimensionError("need at least one step")
-    l = materialize(gen)
+    l = as_matrix(gen)
     if (l.shape == (len(l), len(l)) and np.isrealobj(l)
             and np.array_equal(np.roll(l, (1, 1), axis=(0, 1)), l)):
         lam = np.fft.fft(l[:, 0])
         band = np.fft.ifft((1.0 + (float(z) / n) * lam) ** n - 1.0).real
         band[0] += 1.0
-        m = _circulant(band)
-    else:
-        m = np.linalg.matrix_power(np.eye(l.shape[0]) + (float(z) / n) * l, n)
-    return GroupElement(matrix=m)
+        return _circulant(band)
+    return np.linalg.matrix_power(np.eye(l.shape[0]) + (float(z) / n) * l, n)
 
 
 def shift_kernel(d, offsets, weights):
@@ -122,7 +120,7 @@ def shift_approx_sweep(d, z, n_values):
     exact = sw_shift_matrix(d, z).matrix
     rows = []
     for n in n_values:
-        approx = approx_group_element(gen, z, n).matrix
+        approx = approx_group_element(gen, z, n)
         rows.append((int(n), float(z) / n,
                      float(np.linalg.norm(approx - exact)),
                      cosine_correlation(approx, exact)))

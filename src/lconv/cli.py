@@ -30,8 +30,8 @@ from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
                         TrainingDivergedError, _check_frozen, _check_resume,
                         _eval_linear, gen_angle_pairs_dataset, gen_fixed_angle_dataset,
                         load_train_state, train_angle_regression, train_fixed_angle)
-from .fieldtheory import (FieldTheoryTerms, field_terms, helmholtz_convergence,
-                          mse_loss_decomposed, mse_loss_direct)
+from .fieldtheory import (field_terms, helmholtz_convergence, mse_loss_decomposed,
+                          mse_loss_direct)
 from .groups import _check_even, sw_shift_generator
 from .layer import LConvLayer, load_checkpoint
 from .numerics import (LconvError, SeededRng, check_value, write_csv,
@@ -256,11 +256,7 @@ def cmd_theory(cfg, args):
             check_value("instances", values["instances"], int, 1)
     out_dir = _echo_run("theory", dict(cfg, seed=values["seed"]))
     if cfg["check"] == "helmholtz":
-        terms = FieldTheoryTerms(
-            m2=np.array([[1.0]]),
-            channel_metric=[[np.array([[values["eps_scale"] ** 2]])]],
-            v=[np.array([[values["eps_scale"]]])])
-        rows = helmholtz_convergence(values["sizes"], values["eps_scale"], terms)
+        rows = helmholtz_convergence(values["sizes"], values["eps_scale"])
         write_csv(os.path.join(out_dir, "helmholtz.csv"),
                   ("grid_size", "el_residual", "noether_divergence"), rows)
         for row in rows:
@@ -272,8 +268,7 @@ def cmd_theory(cfg, args):
     worst = 0.0
     for _ in range(values["instances"]):
         layer = LConvLayer(rng.uniform_signed(0.8, (m, m)),
-                           [float(rng.uniform_signed(0.4, ()))],
-                           [gen], scalar_eps=True)
+                           [float(rng.uniform_signed(0.4, ()))], [gen])
         phi = rng.uniform(d, m)
         terms = field_terms(layer)
         direct = mse_loss_direct(phi, layer)

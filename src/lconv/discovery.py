@@ -38,9 +38,9 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .groups import (_bilinear_resample, rotation_matrix_bilinear,
+from .groups import (LowRankGenerator, _bilinear_resample, rotation_matrix_bilinear,
                      sw_rotation_generator)
-from .layer import LConvLayer, load_checkpoint, materialize, save_checkpoint
+from .layer import LConvLayer, load_checkpoint, save_checkpoint
 from .numerics import (FormatError, LconvError, SeededRng, check_value,
                        cosine_correlation, least_squares_solve, read_matrix,
                        write_matrix)
@@ -264,7 +264,9 @@ def load_train_state(task, directory):
                          f"{type(task).__name__} model")
     _check_frozen(task, layer, directory)
 
-    saved = {"gen": materialize(layer.generators[0]), "eps": layer.eps[0]}
+    gen = layer.generators[0]
+    saved = {"gen": gen.u @ gen.v if isinstance(gen, LowRankGenerator) else gen,
+             "eps": layer.eps[0]}
 
     def read(name, file):
         """Parameter `name` from `file`, or from the layer when file is None,
@@ -301,7 +303,7 @@ def _shared_layer(params, frozen):
     as Adam updates them in place; a copy would freeze them."""
     scalar = "eps" in frozen
     layer = LConvLayer(frozen["w0"], [frozen["eps"] if scalar else params["eps"]],
-                       [params["gen"]], scalar_eps=scalar)
+                       [params["gen"]])
     if (layer.generators[0] is not params["gen"]
             or not (scalar or layer.eps[0] is params["eps"])):
         raise RuntimeError("layer copied a trained parameter instead of sharing it")
@@ -349,7 +351,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     """
     t0 = time.perf_counter()
     _check_resume(resume, opt)
-    gt = sw_rotation_generator(task.width, task.height).dense
+    gt = sw_rotation_generator(task.width, task.height)
     data = gen_fixed_angle_dataset(task)
     x_train, y_train = data["x_train"], data["y_train"]
     x_test, y_test = data["x_test"], data["y_test"]
@@ -487,7 +489,7 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
     t0 = time.perf_counter()
     _check_resume(resume, opt)
-    gt = sw_rotation_generator(task.width, task.height).dense
+    gt = sw_rotation_generator(task.width, task.height)
     data = gen_angle_pairs_dataset(task)
     m, t = task.m_copies, task.recursions
     f_train, y_train = data["f_train"], data["y_train"]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layer import group_action, materialize
+from .layer import group_action
 from .numerics import DimensionError, as_matrix
 
 
@@ -73,7 +73,7 @@ def mse_loss_decomposed(phi, terms, generators):
 
 def loss_terms(phi, terms, generators):
     """The three aggregates (mass, kinetic, divergence) separately."""
-    ls = [materialize(g) for g in generators]
+    ls = [as_matrix(g) for g in generators]
     lphi = [l @ phi for l in ls]
     mass = float(np.sum((phi @ terms.m2) * phi))
     kinetic = 0.0
@@ -157,12 +157,16 @@ def helmholtz_field(n_points, eps_scale):
     return x[1] - x[0], np.cosh(x / abs(eps_scale))[:, None]
 
 
-def helmholtz_convergence(sizes, eps_scale, terms):
+def helmholtz_convergence(sizes, eps_scale):
     """Rows (n, el_residual_max, noether_divergence) over grid refinements
-    of n >= 5 points each."""
+    of n >= 5 points each, for the scalar channel m2 = 1, H = eps^2,
+    v = eps that `helmholtz_field` solves."""
     if any(n < 5 for n in sizes):
         raise DimensionError(f"helmholtz_convergence needs grids of at least "
                              f"5 points, got sizes {list(sizes)}")
+    terms = FieldTheoryTerms(m2=np.array([[1.0]]),
+                             channel_metric=[[np.array([[eps_scale ** 2]])]],
+                             v=[np.array([[eps_scale]])])
     rows = []
     for n in sizes:
         dx, phi = helmholtz_field(n, eps_scale)

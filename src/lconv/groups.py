@@ -27,8 +27,9 @@ both the rotation matrices and the rotated-image datasets, so the two
 share their corner weights and padding; they differ only in the order a
 matrix product sums the four terms.
 
-Elements and generators are bare matrices, with no grid object beside
-them: a grid of d points is implied by their d x d size.
+Generators are plain d x d arrays and elements carry their matrix and
+its inverse, with no grid object beside them: a grid of d points is
+implied by their d x d size.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ class GroupElement:
     a numerical matrix inverse; for resampling operators the two differ.
     """
     matrix: np.ndarray
-    inverse: np.ndarray | None = field(default=None, repr=False)
+    inverse: np.ndarray = field(repr=False)
 
     @property
     def d(self):
@@ -59,30 +60,21 @@ class GroupElement:
 
 
 @dataclass(frozen=True)
-class Generator:
-    """A Lie-algebra basis element, dense or low-rank (dense form = U V)."""
-    dense: np.ndarray | None = None
-    low_rank: tuple[np.ndarray, np.ndarray] | None = None
+class LowRankGenerator:
+    """A Lie-algebra basis element stored as U V (d x r times r x d); a
+    dense generator is a plain d x d array."""
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        if (self.dense is None) == (self.low_rank is None):
-            raise DimensionError("exactly one of dense/low_rank must be given")
-        if self.low_rank is not None:
-            u, v = self.low_rank
-            if u.shape[1] != v.shape[0]:
-                raise DimensionError(
-                    f"low-rank inner dimensions differ: {u.shape} vs {v.shape}")
+        if self.u.shape[1] != self.v.shape[0]:
+            raise DimensionError(
+                f"low-rank inner dimensions differ: {self.u.shape} vs {self.v.shape}")
 
     @property
     def shape(self):
-        """Shape of the dense form, without forming it."""
-        if self.dense is not None:
-            return self.dense.shape
-        return self.low_rank[0].shape[0], self.low_rank[1].shape[1]
-
-    @property
-    def d(self):
-        return self.shape[0]
+        """Shape of the dense form U V, without forming it."""
+        return self.u.shape[0], self.v.shape[1]
 
 
 def _check_even(d, who):
@@ -137,7 +129,7 @@ def sw_shift_generator(d):
     (I + (z/n) L)^n -> g(z) on the Nyquist complement as n grows.
     """
     _check_even(d, "sw_shift_generator")
-    return Generator(dense=_circulant(_sw_generator_band(d)))
+    return _circulant(_sw_generator_band(d))
 
 
 def image_coords(width, height):
@@ -165,8 +157,7 @@ def sw_rotation_generator(width, height):
     ddx = np.kron(np.eye(height), lx)
     ddy = np.kron(ly, np.eye(width))
     x, y = image_coords(width, height)
-    dense = x[:, None] * ddy - y[:, None] * ddx
-    return Generator(dense=dense)
+    return x[:, None] * ddy - y[:, None] * ddx
 
 
 def _bilinear_resample(images, thetas, width, height):

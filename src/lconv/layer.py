@@ -1,8 +1,9 @@
 """The L-conv layer: forward map, analytic gradients, and structure checks.
 
 A layer holds a channel mixer W0 (m_in x m_out), per-generator channel
-couplings eps^i (m_in x m_in matrices, or plain scalars in scalar mode)
-and n_L generators L_i (d x d, dense or low-rank U V).  The forward map is
+couplings eps^i (m_in x m_in matrices, or all plain scalars, which puts
+the layer in scalar mode) and n_L generators L_i (d x d arrays, or
+`LowRankGenerator(U, V)` for L_i = U V).  The forward map is
 
     Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0
 
@@ -44,19 +45,9 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import Generator, GroupElement
+from .groups import LowRankGenerator
 from .numerics import (DimensionError, FormatError, as_matrix, read_matrix,
                        write_matrix)
-
-
-def materialize(gen):
-    """Dense d x d form of a generator (U @ V for the low-rank encoding)."""
-    if isinstance(gen, Generator):
-        if gen.dense is not None:
-            return gen.dense
-        u, v = gen.low_rank
-        return u @ v
-    return as_matrix(gen)
 
 
 def _is_identity(w0):
@@ -84,11 +75,15 @@ class LayerGradients:
 class LConvLayer:
     """Parameter container + forward/backward for one L-conv layer."""
 
-    def __init__(self, w0, eps, generators, scalar_eps=False):
+    def __init__(self, w0, eps, generators):
+        """Scalar mode when every eps is 0-d; dense generators are held
+        as given when they are float64 matrices, so updates in place reach
+        the layer."""
         self.w0 = as_matrix(w0)
-        self.scalar_eps = scalar_eps
-        self.eps = [float(e) for e in eps] if scalar_eps else [as_matrix(e) for e in eps]
-        self.generators = list(generators)
+        self.scalar_eps = all(np.ndim(e) == 0 for e in eps)
+        self.eps = [float(e) for e in eps] if self.scalar_eps else [as_matrix(e) for e in eps]
+        self.generators = [g if isinstance(g, LowRankGenerator) else as_matrix(g)
+                           for g in generators]
         self._check_shapes()
 
     def _check_shapes(self):
@@ -101,7 +96,7 @@ class LConvLayer:
         if len(self.eps) != len(self.generators):
             raise DimensionError(
                 f"{len(self.eps)} eps blocks vs {len(self.generators)} generators")
-        shapes = [g.shape for g in self.generators]   # array or Generator
+        shapes = [g.shape for g in self.generators]
         if any(s != (shapes[0][0],) * 2 for s in shapes):
             raise DimensionError(f"generators are not all d x d for one d: {shapes}")
 
@@ -138,10 +133,9 @@ class LConvLayer:
     def _gen_apply(self, i, grid):
         """L_i applied to the (d, B m_in) view `grid` of f."""
         g = self.generators[i]
-        if isinstance(g, Generator) and g.low_rank is not None:
-            u, v = g.low_rank
-            return u @ (v @ grid)
-        return materialize(g) @ grid
+        if isinstance(g, LowRankGenerator):
+            return g.u @ (g.v @ grid)
+        return g @ grid
 
     def _mixed(self, i, lf, identity):
         """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
@@ -213,12 +207,12 @@ class LConvLayer:
                 dpre = da @ self.eps[i]
             dpre = dpre.reshape(d, -1)
             dl = dpre @ grid.T
-            if isinstance(gen, Generator) and gen.low_rank is not None:
-                u, v = gen.low_rank
-                d_gens.append((dl @ v.T, u.T @ dl))
+            if isinstance(gen, LowRankGenerator):
+                d_gens.append((dl @ gen.v.T, gen.u.T @ dl))
+                d_in = d_in + gen.v.T @ (gen.u.T @ dpre)
             else:
                 d_gens.append(dl)
-            d_in = d_in + materialize(gen).T @ dpre
+                d_in = d_in + gen.T @ dpre
         d_in = d_in if self.generators else d_in.copy()
         return LayerGradients(d_eps=d_eps, d_generators=d_gens,
                               d_input=d_in.reshape(f.shape).swapaxes(0, -2),
@@ -226,16 +220,10 @@ class LConvLayer:
 
 
 def group_action(w, f):
-    """Transformed features w . f = w^{-T} f.
-
-    Uses the element's group-parametric inverse when it carries one (exact
-    and well conditioned for shift/rotation families), otherwise a solve.
-    """
-    if isinstance(w, GroupElement):
-        if w.inverse is not None:
-            return w.inverse.T @ f
-        return np.linalg.solve(w.matrix.T, f)
-    return np.linalg.solve(np.asarray(w).T, f)
+    """Transformed features w . f = w^{-T} f, from the GroupElement's
+    group-parametric inverse (exact and well conditioned for the shift
+    and rotation families)."""
+    return w.inverse.T @ f
 
 
 def equivariance_residual(f, w, layer):
@@ -261,7 +249,7 @@ def gcn_reduction_check(f, propagation, w):
     layer with generator P - I in the residual form, eps = I and W0 = W^T,
     whose map is f W0 + (P - I) f W0 = P f W0; algebraically zero."""
     values = as_matrix(f)
-    p = materialize(propagation)
+    p = as_matrix(propagation)
     w = as_matrix(w)                      # m_out x m_in
     layer = LConvLayer(w0=w.T, eps=[np.eye(w.shape[1])],
                        generators=[p - np.eye(p.shape[0])])
@@ -280,12 +268,12 @@ def save_checkpoint(layer, directory, extra=None):
         e = layer.eps[i]
         write_matrix(os.path.join(directory, f"eps_{i}.mat"),
                      np.array([[e]]) if layer.scalar_eps else e)
-        if isinstance(g, Generator) and g.low_rank is not None:
-            write_matrix(os.path.join(directory, f"gen_{i}_U.mat"), g.low_rank[0])
-            write_matrix(os.path.join(directory, f"gen_{i}_V.mat"), g.low_rank[1])
+        if isinstance(g, LowRankGenerator):
+            write_matrix(os.path.join(directory, f"gen_{i}_U.mat"), g.u)
+            write_matrix(os.path.join(directory, f"gen_{i}_V.mat"), g.v)
             gens.append({"form": "low_rank"})
         else:
-            write_matrix(os.path.join(directory, f"gen_{i}.mat"), materialize(g))
+            write_matrix(os.path.join(directory, f"gen_{i}.mat"), g)
             gens.append({"form": "dense"})
     manifest = {"scalar_eps": layer.scalar_eps, "generators": gens,
                 "extra": extra or {}}
@@ -332,8 +320,7 @@ def load_checkpoint(directory):
         if desc["form"] == "low_rank":
             u = read_matrix(os.path.join(directory, f"gen_{i}_U.mat"))
             v = read_matrix(os.path.join(directory, f"gen_{i}_V.mat"))
-            gens.append(Generator(low_rank=(u, v)))
+            gens.append(LowRankGenerator(u, v))
         else:
-            gens.append(Generator(
-                dense=read_matrix(os.path.join(directory, f"gen_{i}.mat"))))
-    return LConvLayer(w0, eps, gens, scalar_eps=manifest["scalar_eps"]), manifest
+            gens.append(read_matrix(os.path.join(directory, f"gen_{i}.mat")))
+    return LConvLayer(w0, eps, gens), manifest

@@ -20,8 +20,8 @@ from lconv.fieldtheory import (FieldTheoryTerms, el_residual, field_terms,
                                helmholtz_convergence, helmholtz_field,
                                loss_terms, metric_equivariance_check,
                                mse_loss_decomposed, mse_loss_direct)
-from lconv.groups import sw_shift_generator, sw_shift_matrix
-from lconv.layer import (Generator, LConvLayer, equivariance_residual,
+from lconv.groups import LowRankGenerator, sw_shift_generator, sw_shift_matrix
+from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action)
 from lconv.numerics import SeededRng, finite_difference_gradient
@@ -104,7 +104,7 @@ class TestCriterion03Equivariance:
         res = []
         for eta in etas:
             lhs = layer.forward(group_action(sw_shift_matrix(d, eta), f))
-            rhs = (np.eye(d) + eta * gen.dense) @ qf
+            rhs = (np.eye(d) + eta * gen) @ qf
             res.append(np.linalg.norm(lhs - rhs) / np.linalg.norm(qf))
         slope = fit_loglog_slope(etas, res)
         assert abs(slope - 2.0) <= 0.3
@@ -140,8 +140,8 @@ class TestCriterion04GradientCorrectness:
                     n = int(np.prod(s))
                     chunks.append(p[i:i + n].reshape(s))
                     i += n
-                gens = ([Generator(low_rank=(chunks[2], chunks[3]))]
-                        if low_rank else [Generator(dense=chunks[2])])
+                gens = ([LowRankGenerator(chunks[2], chunks[3])]
+                        if low_rank else [chunks[2]])
                 return LConvLayer(chunks[0], [chunks[1]], gens)
 
             p0 = np.concatenate([rng.uniform_signed(0.6, s).ravel() for s in shapes])
@@ -297,18 +297,18 @@ class TestCriterion09LossDecomposition:
                 gens = [sw_shift_generator(d)]
                 layer = LConvLayer(rng.uniform_signed(0.9, (m, m)),
                                    [float(rng.uniform_signed(0.5, ()))],
-                                   gens, scalar_eps=True)
+                                   gens)
                 phi = rng.uniform(d, m)
             else:
                 # periodic square with both axis derivatives
                 w = h = 2 * int(rng.integers(2, 6))
-                gens = [np.kron(np.eye(h), sw_shift_generator(w).dense),
-                        np.kron(sw_shift_generator(h).dense, np.eye(w))]
+                gens = [np.kron(np.eye(h), sw_shift_generator(w)),
+                        np.kron(sw_shift_generator(h), np.eye(w))]
                 m = int(rng.integers(1, 3))
                 layer = LConvLayer(rng.uniform_signed(0.9, (m, m)),
                                    [float(rng.uniform_signed(0.4, ())),
                                     float(rng.uniform_signed(0.4, ()))],
-                                   gens, scalar_eps=True)
+                                   gens)
                 phi = rng.uniform(w * h, m)
             terms = field_terms(layer)
             direct = mse_loss_direct(phi, layer)
@@ -328,7 +328,7 @@ class TestCriterion10VariationalDiagnostics:
         terms = FieldTheoryTerms(m2=np.array([[1.0]]),
                                  channel_metric=[[np.array([[eps ** 2]])]],
                                  v=[np.array([[eps]])])
-        rows = helmholtz_convergence([32, 64, 128], eps, terms)
+        rows = helmholtz_convergence([32, 64, 128], eps)
         el = [r[1] for r in rows]
         nd = [r[2] for r in rows]
         el_slope = -fit_loglog_slope([r[0] for r in rows], el)

@@ -3,7 +3,9 @@ own tests: library code other than its own definition, a demo, the bench
 or the acceptance suite; and each defaulted parameter of a public function,
 and each field of a config dataclass, is set by some call there.  A
 reference is an AST name or attribute, so a mention in a docstring or
-comment does not count."""
+comment does not count.  The defaulted-parameter check also covers the
+public methods of public classes, `__init__` included, which a call of
+the class reaches."""
 
 import ast
 import pathlib
@@ -88,21 +90,34 @@ def _sets(call, position, name):
             or (position is not None and len(call.args) > position))
 
 
+def _callables():
+    """(symbol, definition, the name a call reaches it by, the number of
+    leading parameters a call does not pass) for each public function and
+    each public method of a public class, whose `self` no call passes."""
+    for symbol, definition in PUBLIC:
+        if isinstance(definition, ast.FunctionDef):
+            yield symbol, definition, definition.name, 0
+            continue
+        for method in definition.body:
+            if (isinstance(method, ast.FunctionDef)
+                    and (method.name == "__init__" or not method.name.startswith("_"))):
+                name = definition.name if method.name == "__init__" else method.name
+                yield f"{symbol}.{method.name}", method, name, 1
+
+
 def test_every_defaulted_parameter_is_set_by_a_caller():
     """A default no caller overrides is a constant dressed as an option."""
     unset = []
-    for symbol, definition in PUBLIC:
-        if not isinstance(definition, ast.FunctionDef):
-            continue
+    for symbol, definition, name, skip in _callables():
         args = definition.args
-        positional = args.posonlyargs + args.args
+        positional = (args.posonlyargs + args.args)[skip:]
         defaulted = [(i, a.arg) for i, a in enumerate(positional)
                      if i >= len(positional) - len(args.defaults)]
         defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                       if d is not None]
-        calls = [call for call, names in CALLS if definition.name in names]
-        unset += [f"lconv.{symbol}({name}=)" for i, name in defaulted
-                  if not any(_sets(call, i, name) for call in calls)]
+        calls = [call for call, names in CALLS if name in names]
+        unset += [f"lconv.{symbol}({arg}=)" for i, arg in defaulted
+                  if not any(_sets(call, i, arg) for call in calls)]
     assert not unset, (
         f"{', '.join(unset)}: set by no call in library code, a demo, the "
         "bench or the acceptance suite")

@@ -4,10 +4,10 @@ import pytest
 from lconv.approx import (approx_group_element, circular_convolve,
                           cnn_equivalence_check, fit_loglog_slope,
                           gconv_reference, shift_approx_sweep, shift_kernel)
-from lconv.groups import (Generator, _circulant, _sw_generator_band,
+from lconv.groups import (_circulant, _sw_generator_band,
                           sw_rotation_generator, sw_shift_generator,
                           sw_shift_matrix)
-from lconv.layer import LConvLayer, group_action, materialize
+from lconv.layer import LConvLayer, group_action
 from lconv.numerics import (DimensionError, LconvError, SeededRng,
                             cosine_correlation)
 
@@ -49,7 +49,7 @@ class TestApproxGroupElement:
     def test_zero_parameter_is_identity(self):
         gen = sw_shift_generator(8)
         for n in (1, 5, 64):
-            assert np.abs(approx_group_element(gen, 0.0, n).matrix - np.eye(8)).max() == 0.0
+            assert np.abs(approx_group_element(gen, 0.0, n) - np.eye(8)).max() == 0.0
 
     def test_error_monotone_in_steps(self):
         d = 20
@@ -71,29 +71,28 @@ class TestApproxGroupElement:
         for d in (16, 64):
             gen = sw_shift_generator(d)
             exact = sw_shift_matrix(d, 2.0).matrix
-            approx = approx_group_element(gen, 2.0, 256).matrix
+            approx = approx_group_element(gen, 2.0, 256)
             assert cosine_correlation(approx, exact) > 0.999
 
 
 def dense_power(gen, z, n):
-    """The dense reference: matrix_power of the materialized step."""
-    l = materialize(gen)
-    return np.linalg.matrix_power(np.eye(l.shape[0]) + (z / n) * l, n)
+    """The dense reference: matrix_power of the step."""
+    return np.linalg.matrix_power(np.eye(len(gen)) + (z / n) * gen, n)
 
 
 def _odd_circulant():
-    return Generator(dense=_circulant(_sw_generator_band(7)))
+    return _circulant(_sw_generator_band(7))
 
 
 def _one_ulp_off_sw():
-    l = sw_shift_generator(16).dense.copy()
+    l = sw_shift_generator(16)
     l[3, 5] = np.nextafter(l[3, 5], np.inf)
-    return Generator(dense=l)
+    return l
 
 
 def _low_rank():
     rng = SeededRng(48)
-    return Generator(low_rank=(rng.uniform(12, 3), rng.uniform(3, 12)))
+    return rng.uniform(12, 3) @ rng.uniform(3, 12)
 
 
 CIRCULANTS = [sw_shift_generator(d) for d in (8, 12, 20, 64)] + [_odd_circulant()]
@@ -108,28 +107,28 @@ class TestCirculantPower:
     @pytest.mark.parametrize("z", [0.0, 2.0, -2.3])
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
     def test_matches_dense_power(self, gen, z, n):
-        m = approx_group_element(gen, z, n).matrix
+        m = approx_group_element(gen, z, n)
         assert m.dtype == np.float64 and m.flags.c_contiguous
         assert np.abs(m - dense_power(gen, z, n)).max() <= 1e-11
         if z == 0.0:
-            assert np.array_equal(m, np.eye(gen.d))
+            assert np.array_equal(m, np.eye(len(gen)))
 
     def test_matches_dense_power_d1024(self):
         gen = sw_shift_generator(1024)
-        m = approx_group_element(gen, -2.3, 1024).matrix
+        m = approx_group_element(gen, -2.3, 1024)
         assert m.dtype == np.float64 and m.flags.c_contiguous
         assert np.abs(m - dense_power(gen, -2.3, 1024)).max() <= 1e-11
 
     @pytest.mark.parametrize("gen", [
         sw_rotation_generator(7, 7),
-        Generator(dense=SeededRng(47).uniform(10, 10)),
+        SeededRng(47).uniform(10, 10),
         _low_rank(),
         _one_ulp_off_sw(),
     ], ids=["sw-rotation-generator 7x7", "random dense", "low rank",
             "sw one ulp off"])
     def test_other_generators_bit_identical_to_dense_power(self, gen):
         for z, n in ((2.0, 5), (-2.3, 64)):
-            assert np.array_equal(approx_group_element(gen, z, n).matrix,
+            assert np.array_equal(approx_group_element(gen, z, n),
                                   dense_power(gen, z, n))
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
@@ -146,8 +145,8 @@ class TestCirculantPower:
 def stack_transport(gen, eps, n):
     """The matrix that n W0 = I layers with scalar eps apply to f: column
     b is the stack applied to the unit image e_b."""
-    layer = LConvLayer(np.eye(1), [eps], [gen], scalar_eps=True)
-    f = np.eye(gen.d)[:, :, None]
+    layer = LConvLayer(np.eye(1), [eps], [gen])
+    f = np.eye(len(gen))[:, :, None]
     for _ in range(n):
         f = layer.forward(f)
     return f[:, :, 0].T
@@ -161,7 +160,7 @@ class TestLconvStack:
     def test_stack_equals_power_construction(self):
         gen = sw_shift_generator(12)
         n = 6
-        direct = approx_group_element(gen, 2.0, n).matrix
+        direct = approx_group_element(gen, 2.0, n)
         assert np.abs(stack_transport(gen, 2.0 / n, n) - direct).max() < 1e-12
 
     def test_error_order_single_step_and_composed(self):
@@ -169,7 +168,7 @@ class TestLconvStack:
         gen = sw_shift_generator(d)
         # single step: || (I + eta L) - g(eta) || ~ O(eta^2)
         etas = [0.2, 0.1, 0.05, 0.025]
-        single = [np.linalg.norm(np.eye(d) + eta * gen.dense
+        single = [np.linalg.norm(np.eye(d) + eta * gen
                                  - sw_shift_matrix(d, eta).matrix)
                   for eta in etas]
         assert abs(fit_loglog_slope(etas, single) - 2.0) < 0.3
@@ -177,7 +176,7 @@ class TestLconvStack:
         # (asymptotic step counts; the coarse-n prefactor inflates the slope)
         ns = [32, 64, 128, 256]
         exact = sw_shift_matrix(d, 2.0).matrix
-        composed = [np.linalg.norm(approx_group_element(gen, 2.0, n).matrix - exact)
+        composed = [np.linalg.norm(approx_group_element(gen, 2.0, n) - exact)
                     for n in ns]
         assert abs(fit_loglog_slope([2.0 / n for n in ns], composed) - 1.0) < 0.2
 

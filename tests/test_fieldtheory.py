@@ -33,8 +33,7 @@ class TestFieldTerms:
 
     def test_single_scalar_channel_metric(self):
         eps = 0.3
-        layer = LConvLayer(np.array([[0.7]]), [eps], [sw_shift_generator(8)],
-                           scalar_eps=True)
+        layer = LConvLayer(np.array([[0.7]]), [eps], [sw_shift_generator(8)])
         terms = field_terms(layer)
         m2 = 0.49
         assert terms.channel_metric[0][0] == pytest.approx(eps * eps * m2)
@@ -51,13 +50,12 @@ class TestFieldTerms:
 
 class TestLossDecomposition:
     def test_zero_field(self):
-        layer = LConvLayer(np.eye(2), [0.2], [sw_shift_generator(8)], scalar_eps=True)
+        layer = LConvLayer(np.eye(2), [0.2], [sw_shift_generator(8)])
         assert mse_loss_direct(np.zeros((8, 2)), layer) == 0.0
 
     def test_zero_eps_is_pure_mass_term(self):
         rng = SeededRng(52)
-        layer = LConvLayer(rng.uniform(2, 2), [0.0], [sw_shift_generator(8)],
-                           scalar_eps=True)
+        layer = LConvLayer(rng.uniform(2, 2), [0.0], [sw_shift_generator(8)])
         phi = rng.uniform(8, 2)
         expected = float(np.sum((phi @ layer.w0) ** 2))
         assert mse_loss_direct(phi, layer) == pytest.approx(expected, rel=1e-14)
@@ -73,7 +71,7 @@ class TestLossDecomposition:
 
     def test_constant_field_mass_only(self):
         gen = sw_shift_generator(8)
-        layer = LConvLayer(np.array([[0.5]]), [0.3], [gen], scalar_eps=True)
+        layer = LConvLayer(np.array([[0.5]]), [0.3], [gen])
         phi = np.full((8, 1), 1.7)
         mass, kinetic, div = loss_terms(phi, field_terms(layer), [gen])
         assert kinetic < 1e-20
@@ -88,7 +86,7 @@ class TestLossDecomposition:
             gen = sw_shift_generator(d)
             layer = LConvLayer(rng.uniform_signed(0.9, (m, m)),
                                [float(rng.uniform_signed(0.5, ()))],
-                               [gen], scalar_eps=True)
+                               [gen])
             phi = rng.uniform(d, m)
             terms = field_terms(layer)
             direct = mse_loss_direct(phi, layer)
@@ -107,17 +105,17 @@ class TestLossDecomposition:
         gap = mse_loss_direct(phi, layer) - mse_loss_decomposed(phi, terms, [gen])
         # 2 sum_i <skew(v^i), Phi^T L_i Phi>, zero when every v^i is symmetric
         skew_v = 0.5 * (terms.v[0] - terms.v[0].T)
-        closed_form = 2.0 * float(np.sum(skew_v * (phi.T @ (gen.dense @ phi))))
+        closed_form = 2.0 * float(np.sum(skew_v * (phi.T @ (gen @ phi))))
         assert gap == pytest.approx(closed_form, abs=1e-10)
 
     def test_two_axis_image_grid(self):
         rng = SeededRng(56)
         w = h = 8
-        ddx = np.kron(np.eye(h), sw_shift_generator(w).dense)
-        ddy = np.kron(sw_shift_generator(h).dense, np.eye(w))
+        ddx = np.kron(np.eye(h), sw_shift_generator(w))
+        ddy = np.kron(sw_shift_generator(h), np.eye(w))
         gens = [ddx, ddy]
         layer = LConvLayer(rng.uniform_signed(0.7, (2, 2)),
-                           [0.21, -0.4], gens, scalar_eps=True)
+                           [0.21, -0.4], gens)
         phi = rng.uniform(w * h, 2)
         terms = field_terms(layer)
         direct = mse_loss_direct(phi, layer)
@@ -130,7 +128,7 @@ class TestLossInvariance:
         rng = SeededRng(seed)
         layer = LConvLayer(rng.uniform_signed(0.8, (m, m)),
                            [float(rng.uniform_signed(0.4, ()))],
-                           [sw_shift_generator(d)], scalar_eps=True)
+                           [sw_shift_generator(d)])
         return layer, rng.uniform(d, m)
 
     def test_identity(self):
@@ -156,16 +154,14 @@ class TestVariationalDiagnostics:
         assert np.abs(res).max() == 0.0
 
     def test_helmholtz_residual_and_convergence(self):
-        terms = scalar_terms(1.0)
-        rows = helmholtz_convergence([32, 64, 128], 1.0, terms)
+        rows = helmholtz_convergence([32, 64, 128], 1.0)
         res = [r[1] for r in rows]
         assert res[-1] <= 1e-3
         slope = np.polyfit(np.log([r[0] for r in rows]), np.log(res), 1)[0]
         assert abs(slope + 2.0) < 0.3
 
     def test_noether_divergence_and_convergence(self):
-        terms = scalar_terms(1.0)
-        rows = helmholtz_convergence([32, 64, 128], 1.0, terms)
+        rows = helmholtz_convergence([32, 64, 128], 1.0)
         div = [r[2] for r in rows]
         assert div[-1] <= 5e-3
         slope = np.polyfit(np.log([r[0] for r in rows]), np.log(div), 1)[0]
@@ -198,7 +194,7 @@ class TestVariationalDiagnostics:
         with pytest.raises(DimensionError, match="5 grid points"):
             noether_divergence(phi, dx, terms)
         with pytest.raises(DimensionError, match="5 points"):
-            helmholtz_convergence([32, n], 1.0, terms)
+            helmholtz_convergence([32, n], 1.0)
 
 
 class TestMetricEquivariance:

@@ -75,7 +75,7 @@ class TestCirculant:
 class TestSwGenerator:
     def test_diagonal_zero_and_skew(self):
         for d in (8, 16, 64):
-            l = sw_shift_generator(d).dense
+            l = sw_shift_generator(d)
             assert np.abs(np.diag(l)).max() < 1e-14
             assert np.abs(l + l.T).max() < 1e-12
 
@@ -83,7 +83,7 @@ class TestSwGenerator:
         d = 16
         h = 1e-5
         fd = (sw_shift_matrix(d, h).matrix - sw_shift_matrix(d, -h).matrix) / (2 * h)
-        assert np.abs(sw_shift_generator(d).dense - fd).max() < 1e-6
+        assert np.abs(sw_shift_generator(d) - fd).max() < 1e-6
 
     def test_acts_as_first_derivative_with_refinement(self):
         # L f approximates +df/dx for band-limited f; error decays as d grows
@@ -93,13 +93,13 @@ class TestSwGenerator:
             f = np.sin(2 * np.pi * x / d) + 0.3 * np.cos(4 * np.pi * x / d)
             fp = ((2 * np.pi / d) * np.cos(2 * np.pi * x / d)
                   - 0.3 * (4 * np.pi / d) * np.sin(4 * np.pi * x / d))
-            errs.append(np.abs(sw_shift_generator(d).dense @ f - fp).max())
+            errs.append(np.abs(sw_shift_generator(d) @ f - fp).max())
         assert errs[0] < 1e-12    # exact on its Fourier support
         assert all(e < 1e-12 for e in errs)
 
     def test_commutes_with_shifts(self):
         d = 32
-        l = sw_shift_generator(d).dense
+        l = sw_shift_generator(d)
         for z in (0.4, 1.0, 2.7):
             g = sw_shift_matrix(d, z).matrix
             assert np.linalg.norm(l @ g - g @ l) < 1e-9
@@ -140,11 +140,11 @@ class TestRotationBilinear:
 
 class TestSwRotationGenerator:
     def test_annihilates_constants(self):
-        l = sw_rotation_generator(8, 8).dense
+        l = sw_rotation_generator(8, 8)
         assert np.abs(l @ np.ones(64)).max() < 1e-8
 
     def test_skew(self):
-        l = sw_rotation_generator(8, 6).dense
+        l = sw_rotation_generator(8, 6)
         assert np.abs(l + l.T).max() < 1e-10
 
     def test_rotation_invariant_field_killed_interior(self):
@@ -152,7 +152,7 @@ class TestSwRotationGenerator:
         # residual at the central quarter box shrinks O(1/d)
         errs = []
         for n in (16, 32, 64):
-            l = sw_rotation_generator(n, n).dense
+            l = sw_rotation_generator(n, n)
             x, y = image_coords(n, n)
             s = 2.0 / n
             r2 = (x * s) ** 2 + (y * s) ** 2
@@ -164,7 +164,7 @@ class TestSwRotationGenerator:
     def test_first_order_consistency_with_bilinear_rotation(self):
         # R(theta) ~ I + theta L on smooth interior-supported fields
         n = 16
-        l = sw_rotation_generator(n, n).dense
+        l = sw_rotation_generator(n, n)
         x, y = image_coords(n, n)
         f = np.exp(-(((x - 2.0) ** 2 + (y + 1.0) ** 2) / 6.0))
         theta = 0.05
@@ -174,6 +174,6 @@ class TestSwRotationGenerator:
         assert cosine_correlation(lhs[:, None], (l @ f)[:, None]) > 0.99
 
     def test_odd_sizes_supported(self):
-        l = sw_rotation_generator(7, 7).dense
+        l = sw_rotation_generator(7, 7)
         assert l.shape == (49, 49)
         assert np.abs(l + l.T).max() < 1e-10

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lconv.groups import Generator, sw_shift_generator, sw_shift_matrix
+from lconv.groups import LowRankGenerator, sw_shift_generator, sw_shift_matrix
 from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
-                         group_action, load_checkpoint, materialize,
-                         save_checkpoint)
+                         group_action, load_checkpoint, save_checkpoint)
 from lconv.numerics import (DimensionError, FormatError, SeededRng,
                             finite_difference_gradient, write_matrix)
 
@@ -18,9 +17,13 @@ def random_layer(rng, d, m_in, m_out, n_gen=1):
     U(+-1/sqrt(d)): the generator term a perturbation of the residual path."""
     w0 = rng.uniform_signed(1.0 / np.sqrt(m_in), (m_in, m_out))
     eps = [rng.uniform_signed(0.1 / n_gen, (m_in, m_in)) for _ in range(n_gen)]
-    gens = [Generator(dense=rng.uniform_signed(1.0 / np.sqrt(d), (d, d)))
-            for _ in range(n_gen)]
+    gens = [rng.uniform_signed(1.0 / np.sqrt(d), (d, d)) for _ in range(n_gen)]
     return LConvLayer(w0, eps, gens)
+
+
+def dense(gen):
+    """The d x d matrix a generator stands for."""
+    return gen.u @ gen.v if isinstance(gen, LowRankGenerator) else gen
 
 
 class TestForward:
@@ -36,14 +39,14 @@ class TestForward:
         d = 8
         l = sw_shift_generator(d)
         f = rng.uniform(d, 1)
-        layer = LConvLayer(np.eye(1), [0.01], [l], scalar_eps=True)
-        expected = f + 0.01 * (l.dense @ f)
+        layer = LConvLayer(np.eye(1), [0.01], [l])
+        expected = f + 0.01 * (l @ f)
         assert np.abs(layer.forward(f) - expected).max() < 1e-14
 
     def test_hand_computed_ring(self):
         # d=3 ring with central-difference circulant, f = (1,2,3), eps = 0.1
         l = np.array([[0.0, 0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]])
-        layer = LConvLayer(np.eye(1), [0.1], [2.0 * l], scalar_eps=True)
+        layer = LConvLayer(np.eye(1), [0.1], [2.0 * l])
         f = np.array([[1.0], [2.0], [3.0]])
         out = layer.forward(f)
         assert np.allclose(out.ravel(), [0.9, 2.2, 2.9], atol=1e-14)
@@ -67,12 +70,33 @@ class TestForward:
 
     @pytest.mark.parametrize("gens", [
         [np.zeros((4, 3))],
-        [Generator(low_rank=(np.zeros((4, 2)), np.zeros((2, 3))))],
+        [LowRankGenerator(np.zeros((4, 2)), np.zeros((2, 3)))],
         [np.zeros((4, 4)), np.zeros((5, 5))],
     ], ids=["dense-4x3", "low-rank-4x3", "4-and-5"])
     def test_generators_must_be_d_by_d_for_one_d(self, gens):
         with pytest.raises(DimensionError, match="d x d"):
-            LConvLayer(np.eye(1), [1.0] * len(gens), gens, scalar_eps=True)
+            LConvLayer(np.eye(1), [1.0] * len(gens), gens)
+
+    def test_zero_d_eps_is_scalar_mode(self):
+        l = sw_shift_generator(4)
+        for eps in ([0.3], [np.float64(0.3), np.array(-0.2)]):
+            layer = LConvLayer(np.eye(2), eps, [l] * len(eps))
+            assert layer.scalar_eps
+            assert all(type(e) is float for e in layer.eps)
+
+    @pytest.mark.parametrize("w0", [[[1.0]], [[0.7, -1.3]]], ids=["identity", "random"])
+    def test_one_by_one_eps_is_matrix_mode_bit_equal_to_scalar(self, w0):
+        rng = SeededRng(25)
+        l, f = rng.uniform_signed(0.6, (5, 5)), rng.uniform_signed(0.7, (3, 5, 1))
+        matrix = LConvLayer(w0, [np.array([[0.37]])], [l])
+        scalar = LConvLayer(w0, [0.37], [l])
+        assert not matrix.scalar_eps and matrix.eps[0].shape == (1, 1)
+        assert scalar.scalar_eps
+        assert np.array_equal(matrix.forward(f), scalar.forward(f))
+
+    def test_mixed_scalar_and_matrix_eps_rejected(self):
+        with pytest.raises(DimensionError):
+            LConvLayer(np.eye(1), [0.5, np.eye(1)], [np.eye(3), np.eye(3)])
 
 
 class TestBackward:
@@ -113,9 +137,9 @@ class TestBackward:
                 chunks.append(p[i:i + n].reshape(s))
                 i += n
             if low_rank:
-                gens = [Generator(low_rank=(chunks[2], chunks[3]))]
+                gens = [LowRankGenerator(chunks[2], chunks[3])]
             else:
-                gens = [Generator(dense=chunks[2])]
+                gens = [chunks[2]]
             return LConvLayer(chunks[0], [chunks[1]], gens)
 
         if low_rank:
@@ -160,7 +184,7 @@ class TestRecursive:
         rng = SeededRng(28)
         d = 6
         l = rng.uniform(d, d)
-        layer = LConvLayer(np.eye(1), [0.2], [l], scalar_eps=True)
+        layer = LConvLayer(np.eye(1), [0.2], [l])
         f = rng.uniform(d, 1)
         out = f
         for _ in range(4):
@@ -202,7 +226,7 @@ class TestEquivariance:
         for eta in etas:
             w = sw_shift_matrix(d, eta)
             lhs = layer.forward(group_action(w, f))
-            lin = (np.eye(d) + eta * gen.dense) @ qf
+            lin = (np.eye(d) + eta * gen) @ qf
             res.append(np.linalg.norm(lhs - lin) / np.linalg.norm(qf))
         slope = np.polyfit(np.log(etas), np.log(res), 1)[0]
         assert abs(slope - 2.0) < 0.3
@@ -231,33 +255,42 @@ class TestGcnReduction:
                                    np.ones((1, 1))) == 0.0
 
 
+def transport(gen):
+    """The matrix L a W0 = I, eps = 1 layer adds to f: column b is
+    forward(e_b) - e_b."""
+    d = gen.shape[0]
+    out = LConvLayer(np.eye(1), [1.0], [gen]).forward(np.eye(d)[:, :, None])
+    return out[:, :, 0].T - np.eye(d)
+
+
 class TestMaterialize:
+    """A layer applies each generator as the d x d matrix it stands for."""
+
     def test_dense_passthrough(self):
         m = SeededRng(35).uniform(4, 4)
-        assert materialize(Generator(dense=m)) is m
+        assert LConvLayer(np.eye(1), [1.0], [m]).generators[0] is m
 
     def test_one_hot_outer_product(self):
         u = np.zeros((4, 1)); u[0, 0] = 1.0
         v = np.zeros((1, 4)); v[0, 1] = 1.0
-        e = materialize(Generator(low_rank=(u, v)))
         expected = np.zeros((4, 4)); expected[0, 1] = 1.0
-        assert np.array_equal(e, expected)
+        assert np.array_equal(transport(LowRankGenerator(u, v)), expected)
 
     def test_low_rank_has_bounded_rank(self):
         rng = SeededRng(36)
         u = rng.uniform(8, 2)
         v = rng.uniform(2, 8)
-        s = np.linalg.svd(materialize(Generator(low_rank=(u, v))), compute_uv=False)
+        s = np.linalg.svd(transport(LowRankGenerator(u, v)), compute_uv=False)
         assert s[2] <= 1e-10 * s[0]
 
     def test_inner_mismatch(self):
         with pytest.raises(DimensionError):
-            Generator(low_rank=(np.zeros((4, 2)), np.zeros((3, 4))))
+            LowRankGenerator(np.zeros((4, 2)), np.zeros((3, 4)))
 
 
 class TestCheckpoint:
     def test_scalar_eps_must_be_1x1(self, tmp_path):
-        layer = LConvLayer(np.eye(1), [0.5], [np.eye(3)], scalar_eps=True)
+        layer = LConvLayer(np.eye(1), [0.5], [np.eye(3)])
         save_checkpoint(layer, tmp_path / "ckpt")
         assert load_checkpoint(tmp_path / "ckpt")[0].eps == [0.5]
         write_matrix(tmp_path / "ckpt" / "eps_0.mat", np.zeros((0, 3)))
@@ -267,15 +300,14 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = SeededRng(37)
         layer = LConvLayer(rng.uniform(3, 2), [rng.uniform(3, 3), rng.uniform(3, 3)],
-                           [Generator(dense=rng.uniform(5, 5)),
-                            Generator(low_rank=(rng.uniform(5, 2), rng.uniform(2, 5)))])
+                           [rng.uniform(5, 5),
+                            LowRankGenerator(rng.uniform(5, 2), rng.uniform(2, 5))])
         save_checkpoint(layer, tmp_path / "ckpt", extra={"epoch": 7})
         back, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["extra"]["epoch"] == 7
         assert np.array_equal(back.w0, layer.w0)
         assert np.array_equal(back.eps[1], layer.eps[1])
-        assert np.array_equal(materialize(back.generators[1]),
-                              materialize(layer.generators[1]))
+        assert np.array_equal(dense(back.generators[1]), dense(layer.generators[1]))
         f = rng.uniform(5, 3)
         assert np.array_equal(back.forward(f), layer.forward(f))
         # the manifest records no layer form; an older manifest that
@@ -287,14 +319,14 @@ class TestCheckpoint:
         old, _ = load_checkpoint(tmp_path / "ckpt")
         assert np.array_equal(old.w0, layer.w0)
         for a, b in zip(old.eps + old.generators, layer.eps + layer.generators):
-            assert np.array_equal(materialize(a), materialize(b))
+            assert np.array_equal(dense(a), dense(b))
         assert np.array_equal(old.forward(f), layer.forward(f))
 
     def test_generator_entries_hold_only_form(self, tmp_path):
         rng = SeededRng(38)
         layer = LConvLayer(rng.uniform(2, 2), [rng.uniform(2, 2), rng.uniform(2, 2)],
-                           [Generator(dense=rng.uniform(4, 4)),
-                            Generator(low_rank=(rng.uniform(4, 1), rng.uniform(1, 4)))])
+                           [rng.uniform(4, 4),
+                            LowRankGenerator(rng.uniform(4, 1), rng.uniform(1, 4))])
         save_checkpoint(layer, tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
         written = json.loads(path.read_text())
@@ -306,10 +338,27 @@ class TestCheckpoint:
         old, _ = load_checkpoint(tmp_path / "ckpt")
         assert np.array_equal(old.w0, layer.w0)
         for a, b in zip(old.eps + old.generators, layer.eps + layer.generators):
-            assert np.array_equal(materialize(a), materialize(b))
-        assert old.generators[1].low_rank is not None
+            assert np.array_equal(dense(a), dense(b))
+        assert isinstance(old.generators[1], LowRankGenerator)
         f = rng.uniform(4, 2)
         assert np.array_equal(old.forward(f), layer.forward(f))
+
+    def test_low_rank_generator_saves_its_factors(self, tmp_path):
+        rng = SeededRng(39)
+        u, v = rng.uniform(6, 2), rng.uniform(2, 6)
+        layer = LConvLayer(np.eye(1), [0.25], [LowRankGenerator(u, v)])
+        save_checkpoint(layer, tmp_path / "ckpt")
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+            "W0.mat", "eps_0.mat", "gen_0_U.mat", "gen_0_V.mat", "manifest.json"]
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert manifest["generators"] == [{"form": "low_rank"}]
+        back, _ = load_checkpoint(tmp_path / "ckpt")
+        gen = back.generators[0]
+        assert isinstance(gen, LowRankGenerator)
+        assert np.array_equal(gen.u, u) and np.array_equal(gen.v, v)
+        assert back.scalar_eps and back.eps == [0.25]
+        f = rng.uniform(6, 1)
+        assert np.array_equal(back.forward(f), layer.forward(f))
 
 
 def grid_major(a):
@@ -334,7 +383,7 @@ def explicit_forward(layer, f):
     out = rows(f) @ w0
     for e, gen in zip(layer.eps, layer.generators):
         mix = e * w0 if layer.scalar_eps else e.T @ w0
-        out = out + rows(left_apply(materialize(gen), f)) @ mix
+        out = out + rows(left_apply(gen, f)) @ mix
     return out.reshape(f.shape[:-1] + (w0.shape[1],)).swapaxes(0, -2)
 
 
@@ -343,7 +392,7 @@ def explicit_backward(layer, f, upstream):
     the grid-major arrays, for dense generators."""
     f, upstream = grid_major(f), grid_major(upstream)
     w0 = layer.w0
-    lf = [rows(left_apply(materialize(g), f)) for g in layer.generators]
+    lf = [rows(left_apply(g, f)) for g in layer.generators]
     a = rows(f).copy()
     for e, lfi in zip(layer.eps, lf):
         a = a + (e * lfi if layer.scalar_eps else lfi @ e.T)
@@ -359,7 +408,7 @@ def explicit_backward(layer, f, upstream):
             dpre = da @ e
         dpre = dpre.reshape(f.shape)
         d_gens.append(dpre.reshape(f.shape[0], -1) @ f.reshape(f.shape[0], -1).T)
-        d_input = d_input + left_apply(materialize(gen).T, dpre)
+        d_input = d_input + left_apply(gen.T, dpre)
     return a.T @ rows(upstream), d_eps, d_gens, d_input.swapaxes(0, -2)
 
 
@@ -381,12 +430,12 @@ def layer_cases(draw, identity=None, dense=False):
     w0 = np.eye(m) if eye else rng.uniform_signed(0.8, (m, m))
     eps = [float(rng.uniform_signed(0.5, ())) if scalar
            else rng.uniform_signed(0.5, (m, m)) for _ in range(n_gen)]
-    gens = [Generator(dense=rng.uniform_signed(0.6, (d, d)))
+    gens = [rng.uniform_signed(0.6, (d, d))
             if dense or draw(st.booleans())
-            else Generator(low_rank=(rng.uniform_signed(0.6, (d, 2)),
-                                     rng.uniform_signed(0.6, (2, d))))
+            else LowRankGenerator(rng.uniform_signed(0.6, (d, 2)),
+                                  rng.uniform_signed(0.6, (2, d)))
             for _ in range(n_gen)]
-    layer = LConvLayer(w0, eps, gens, scalar_eps=scalar)
+    layer = LConvLayer(w0, eps, gens)
     shape = (draw(st.integers(1, 5)), d, m) if draw(st.booleans()) else (d, m)
     return layer, rng.uniform_signed(0.7, shape), rng.uniform_signed(0.7, shape)
 
@@ -499,8 +548,7 @@ class TestActivationLayout:
             w0, eps, *gen = np.split(p, np.cumsum([x * y for x, y in sizes])[:-1])
             gen = [a.reshape(s) for a, s in zip(gen, sizes[2:])]
             return LConvLayer(w0.reshape(sizes[0]), [eps.reshape(sizes[1])],
-                              [Generator(low_rank=tuple(gen)) if low_rank
-                               else Generator(dense=gen[0])])
+                              [LowRankGenerator(*gen) if low_rank else gen[0]])
 
         def loss(p, x=f):
             return 0.5 * float(np.sum((build(p).forward(x) - tgt) ** 2))
