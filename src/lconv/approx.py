@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import _circulant, sw_shift_generator, sw_shift_matrix
-from .numerics import DimensionError, as_matrix, check_value, cosine_correlation
+from .numerics import (DimensionError, as_matrix, check_value, cosine_correlation,
+                       frobenius)
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def shift_approx_sweep(d, z, n_values):
     for n in n_values:
         approx = approx_group_element(gen, z, n)
         rows.append((int(n), float(z) / n,
-                     float(np.linalg.norm(approx - exact)),
+                     frobenius(approx - exact),
                      cosine_correlation(approx, exact)))
     return rows
 

@@ -42,8 +42,8 @@ from .groups import (LowRankGenerator, _bilinear_resample, rotation_matrix_bilin
                      sw_rotation_generator)
 from .layer import LConvLayer, load_checkpoint, save_checkpoint
 from .numerics import (FormatError, LconvError, SeededRng, check_value,
-                       cosine_correlation, least_squares_solve, read_matrix,
-                       write_matrix)
+                       cosine_correlation, frobenius, least_squares_solve, matmul,
+                       read_matrix, write_matrix)
 
 
 class NonFiniteGradientError(LconvError):
@@ -187,7 +187,7 @@ def gen_fixed_angle_dataset(task):
     for split, seed, n in (("train", task.seed, task.n_train),
                            ("test", task.seed + 1, task.n_test)):
         x = SeededRng(seed).uniform(task.d, n)
-        y = r @ x
+        y = matmul(r, x)
         if split == "train":
             x = np.asfortranarray(x)
             y = np.asfortranarray(y)
@@ -199,7 +199,7 @@ def gen_fixed_angle_dataset(task):
 
 def _safe_corr(a, b):
     """Cosine correlation, or None when either matrix is numerically zero."""
-    if np.linalg.norm(a) < 1e-12 or np.linalg.norm(b) < 1e-12:
+    if frobenius(a) < 1e-12 or frobenius(b) < 1e-12:
         return None
     return cosine_correlation(a, b)
 

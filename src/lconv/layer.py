@@ -35,6 +35,13 @@ Each product is computed once, and only when its result is read:
 - Lazy dW0.  `LayerGradients.dW0` and the sum A = f + sum_i (L_i f)
   (eps^i)^T it needs are computed on first read; training with W0
   frozen never pays for them.
+
+Every product runs on the calling thread.  At d = 49 none is large enough
+to gain from a second BLAS thread, and a product that wakes OpenBLAS's
+worker leaves it spinning for about 128 ms afterwards, so the forward
+products, which evaluation runs on thousands of columns at once, go
+through `numerics.matmul` in blocks that stay below OpenBLAS's
+threading threshold; the training shapes are single blocks.
 """
 
 import json
@@ -46,8 +53,8 @@ from typing import Callable
 import numpy as np
 
 from .groups import LowRankGenerator
-from .numerics import (DimensionError, FormatError, as_matrix, read_matrix,
-                       write_matrix)
+from .numerics import (DimensionError, FormatError, as_matrix, frobenius, matmul,
+                       read_matrix, write_matrix)
 
 
 def _is_identity(w0):
@@ -135,14 +142,14 @@ class LConvLayer:
         g = self.generators[i]
         if isinstance(g, LowRankGenerator):
             return g.u @ (g.v @ grid)
-        return g @ grid
+        return matmul(g, grid)
 
     def _mixed(self, i, lf, identity):
         """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
         e = self.eps[i]
         if identity:   # C-ordered, as the product with W0 would be
-            return e * lf if self.scalar_eps else lf @ np.ascontiguousarray(e.T)
-        return lf @ (e * self.w0 if self.scalar_eps else e.T @ self.w0)
+            return e * lf if self.scalar_eps else matmul(lf, np.ascontiguousarray(e.T))
+        return matmul(lf, e * self.w0 if self.scalar_eps else e.T @ self.w0)
 
     def forward(self, f, lf=None):
         """Apply the layer to f of shape (*batch, d, m_in); returns
@@ -232,8 +239,7 @@ def equivariance_residual(f, w, layer):
     qf = layer.forward(values)
     lhs = layer.forward(group_action(w, values))
     rhs = group_action(w, qf)
-    denom = max(float(np.linalg.norm(qf)), 1e-300)
-    return float(np.linalg.norm(lhs - rhs)) / denom
+    return frobenius(lhs - rhs) / max(frobenius(qf), 1e-300)
 
 
 def gcn_propagation_matrix(adjacency):

@@ -1,18 +1,18 @@
 """Dense matrix utilities shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays throughout.  This module adds
-the pieces numpy does not ship in the exact form we need: the trace-based
-cosine correlation used to score learned generators, a guarded
-least-squares solver for the regression oracle, a central-difference
-gradient checker, a seeded RNG with a fixed bit-exact output convention,
-and a tiny binary matrix file format ("LCONVMAT") for artifacts.
+the pieces numpy does not ship in the exact form we need: a matrix product
+kept on the calling thread, the trace-based cosine correlation used to
+score learned generators, a guarded least-squares solver for the
+regression oracle, a central-difference gradient checker, a seeded RNG
+with a fixed bit-exact output convention, and a tiny binary matrix file
+format ("LCONVMAT") for artifacts.
 """
 
 import numbers
 import struct
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class LconvError(Exception):
@@ -73,8 +73,49 @@ def check_value(name, value, kind, low=None):
     return value
 
 
+# OpenBLAS hands a product above about 10**6 multiply-adds to its worker
+# thread, which then spins for about 128 ms after the call.  No lconv
+# product is large enough to gain from a second thread, so a block stays
+# below half that threshold.
+_BLOCK_MACS = 1 << 19
+
+
+def _block(macs_per_line):
+    """Lines (columns or rows) per block of at most _BLOCK_MACS
+    multiply-adds, a multiple of 8; 0 when 8 lines already exceed it."""
+    return _BLOCK_MACS // max(macs_per_line, 1) // 8 * 8
+
+
+def matmul(a, b):
+    """a @ b for 2-D arrays, on the calling thread at lconv's shapes.
+
+    The longer outer dimension (columns of b, or rows of a for a tall
+    product) is cut into blocks of at most 2**19 multiply-adds, each a
+    multiple of 8 wide, and each block is one BLAS call over the whole
+    inner dimension.  The result equals a @ b bit for bit, except when b
+    has more than one block of columns and a number of them that is not
+    a multiple of 8: its last (columns mod 8) columns then take the
+    rounding of the tail of a small product, which OpenBLAS computes
+    with another kernel than a product above 10**6 multiply-adds.  A
+    product too large for even an 8-wide block runs as one call.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    step = _block(k * min(m, n))
+    if not step or step >= max(m, n):
+        return a @ b
+    out = np.empty((m, n), np.result_type(a, b))
+    for s in range(0, max(m, n), step):
+        if n >= m:
+            np.matmul(a, b[:, s:s + step], out=out[:, s:s + step])
+        else:
+            np.matmul(a[s:s + step], b, out=out[s:s + step])
+    return out
+
+
 def frobenius(a):
-    return float(np.linalg.norm(a))
+    """||a||_F as sqrt(sum(a * a)): numpy's pairwise sum, whose bits do not
+    depend on the BLAS thread count as `np.linalg.norm`'s dot does."""
+    return float(np.sqrt(np.sum(a * a)))
 
 
 def cosine_correlation(a, b):
@@ -104,10 +145,13 @@ _COND_REJECT = 1.0e12
 def least_squares_solve(x, y):
     """Solve Y = R X for R in the least-squares sense; X, Y are d x N.
 
-    Returns R = (Y X^T)(X X^T)^{-1} minimizing ||Y - RX||_F.  Normal
-    equations with a Cholesky solve are used while X X^T is well
-    conditioned; an SVD-based orthogonal solve takes over between 1e8 and
-    1e12, beyond which the system is rejected as rank deficient.
+    Returns R = (Y X^T)(X X^T)^{-1} minimizing ||Y - RX||_F.  X X^T and
+    X Y^T are summed over fixed blocks of samples, each product small
+    enough to stay on the calling thread (see `matmul`), so the bits do
+    not depend on the BLAS thread count.  The normal equations are solved
+    directly while X X^T is well conditioned; an SVD-based orthogonal
+    solve takes over between 1e8 and 1e12, beyond which the system is
+    rejected as rank deficient.
     """
     x = as_matrix(x)
     y = as_matrix(y)
@@ -116,15 +160,20 @@ def least_squares_solve(x, y):
     d, n = x.shape
     if n < d:
         raise DegenerateInputError(f"need at least d={d} samples, got {n}")
-    gram = x @ x.T
+    gram = np.zeros((d, d))
+    xy = np.zeros((d, y.shape[0]))
+    step = _block(d * max(d, y.shape[0])) or n
+    for s in range(0, n, step):
+        xs = x[:, s:s + step]
+        gram += xs @ xs.T
+        xy += xs @ y[:, s:s + step].T
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > _COND_REJECT:
         raise SingularSystemError(
             f"X X^T is numerically rank deficient (cond ~ {cond:.3e})", cond)
     if cond <= _COND_FALLBACK:
-        c, low = cho_factor(gram)
         # R (X X^T) = Y X^T  <=>  (X X^T) R^T = X Y^T
-        return cho_solve((c, low), x @ y.T).T
+        return np.linalg.solve(gram, xy).T
     r_t, *_ = np.linalg.lstsq(x.T, y.T, rcond=None)
     return r_t.T
 
