@@ -75,7 +75,7 @@ def approx_group_element(gen, z, n):
     if n < 1:
         raise DimensionError("need at least one step")
     l = as_matrix(gen)
-    if (l.shape == (len(l), len(l)) and np.isrealobj(l)
+    if (l.shape == (len(l), len(l))
             and np.array_equal(np.roll(l, (1, 1), axis=(0, 1)), l)):
         lam = np.fft.fft(l[:, 0])
         band = np.fft.ifft((1.0 + (float(z) / n) * lam) ** n - 1.0).real

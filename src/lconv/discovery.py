@@ -32,6 +32,7 @@ permutations of the epochs it skips, so it continues the unbroken run
 bit for bit.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -329,7 +330,7 @@ def _fit(report, state, opt, start_epoch, n, batch, evaluate):
         for start in range(0, n, opt.batch_size):
             idx = perm[start:start + opt.batch_size]
             batch_loss, grads = batch(idx)
-            if not np.isfinite(batch_loss):
+            if not math.isfinite(batch_loss):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}", report)
             total += batch_loss * idx.size
@@ -368,7 +369,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
         lf = []
         diff = layer.forward(fb, lf) - yb
         grads = layer.backward(fb, 2.0 * diff / diff.size, lf=lf)
-        return float(np.mean(diff * diff)), {"gen": grads.d_generators[0]}
+        return float(np.sum(diff * diff) / diff.size), {"gen": grads.d_generators[0]}
 
     report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
     _fit(report, state, opt, start_epoch, x_train.shape[1], batch,
@@ -476,11 +477,11 @@ def _angle_backward(params, layer, y, theta, pred, stash):
     dh = np.multiply(y.T[:, :, None], dg, order="C").swapaxes(0, 1)   # stored grid-major
     d_eps = np.zeros_like(params["eps"])
     d_gen = np.zeros_like(params["gen"])
-    for h, lf in reversed(tape):
-        grads = layer.backward(h, dh, lf=lf)
+    for k, (h, lf) in enumerate(reversed(tape)):
+        # each call's d_input is read by the next, so the first recursion's is never formed
+        grads = layer.backward(h, grads.d_input if k else dh, lf=lf)
         d_eps += grads.d_eps[0]
         d_gen += grads.d_generators[0]
-        dh = grads.d_input
     return {"eps": d_eps, "gen": d_gen, "v1": dv1, "b1": db1,
             "v2": dv2, "b2": db2}
 

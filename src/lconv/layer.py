@@ -32,9 +32,15 @@ Each product is computed once, and only when its result is read:
   they return their other operand exactly (except that a -0.0 entry
   comes back +0.0), and (eps^i)^T is passed C-ordered, as the product
   was, so the results keep their bits.
-- Lazy dW0.  `LayerGradients.dW0` and the sum A = f + sum_i (L_i f)
-  (eps^i)^T it needs are computed on first read; training with W0
-  frozen never pays for them.
+- Lazy gradients.  `backward` forms only the generator gradients.
+  `LayerGradients.d_eps`, `d_input` and `dW0` (with the sum A = f +
+  sum_i (L_i f) (eps^i)^T it needs) are computed on first read, so a
+  step that trains only the generators never pays for them, nor does
+  the first call of a recursion stack for its input gradient.  Each is
+  the gradient as of the `backward` call: the call keeps copies of eps
+  and of the generators, and the gradient flowing into each L_i f that
+  it formed anyway, so an optimizer may update the parameters in place
+  before the first read.
 
 Every product runs on the calling thread.  At d = 49 none is large enough
 to gain from a second BLAS thread, and a product that wakes OpenBLAS's
@@ -48,7 +54,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -67,16 +72,57 @@ def _is_identity(w0):
 
 @dataclass
 class LayerGradients:
-    d_eps: list
+    """The gradients of one `backward` call.  `d_generators` is formed by
+    the call; `d_eps`, `d_input` and `dW0` are formed on first read, at
+    the parameters as they were at the call (it copies eps and the
+    generators, and forms upstream W0^T), from f, upstream and the
+    stashed L f, which must be left unchanged."""
     d_generators: list   # dense arrays, or (dU, dV) pairs for low-rank
-    d_input: np.ndarray
-    _dw0: Callable = field(repr=False)
+    _f: np.ndarray = field(repr=False)          # grid-major input
+    _upstream: np.ndarray = field(repr=False)   # (d B, m_out) rows
+    _da: np.ndarray = field(repr=False)         # upstream W0^T
+    _lf: list = field(repr=False)               # (d B, m_in) rows of L_i f
+    _dpre: list = field(repr=False)             # gradient into L_i f, (d, B m_in)
+    _scalar: bool = field(repr=False)           # the layer's scalar_eps
+    _eps: list = field(repr=False)
+    _generators: list = field(repr=False)
+
+    @cached_property
+    def d_eps(self):
+        """One entry per generator: a float in scalar mode, else m_in x m_in
+        (forward used eps^T, so this is the transpose of its gradient)."""
+        if self._scalar:
+            return [float(np.sum(lfi * self._da)) for lfi in self._lf]
+        return [self._da.T @ lfi for lfi in self._lf]
+
+    @cached_property
+    def d_input(self):
+        """Gradient w.r.t. f, of f's shape, stored grid-major."""
+        f = self._f
+        d_in = self._da.reshape(f.shape[0], -1)
+        for gen, dpre in zip(self._generators, self._dpre):
+            if isinstance(gen, LowRankGenerator):
+                d_in = d_in + gen.v.T @ (gen.u.T @ dpre)
+            else:
+                d_in = d_in + gen.T @ dpre
+        d_in = d_in if self._generators else d_in.copy()
+        return d_in.reshape(f.shape).swapaxes(0, -2)
 
     @cached_property
     def dW0(self):
-        """Gradient w.r.t. W0, computed on first read from what `backward`
-        was given (eps as it was then; f and upstream must be unchanged)."""
-        return self._dw0()
+        """Gradient w.r.t. W0: out = A W0 with A = f + sum_i (L_i f) E_i."""
+        a = self._f.reshape(-1, self._f.shape[-1])
+        for lfi, e in zip(self._lf, self._eps):
+            a = a + (e * lfi if self._scalar else lfi @ e.T)
+        return a.T @ self._upstream
+
+
+def _snapshot(gen):
+    """A copy of a generator in its own memory layout, which sets how BLAS
+    rounds the products with it."""
+    if isinstance(gen, LowRankGenerator):
+        return LowRankGenerator(gen.u.copy(order="K"), gen.v.copy(order="K"))
+    return gen.copy(order="K")
 
 
 class LConvLayer:
@@ -191,39 +237,19 @@ class LConvLayer:
         if lf is None:
             lf = [self._gen_apply(i, grid).reshape(rows.shape)
                   for i in range(self.n_generators)]
-        scalar = self.scalar_eps
-        eps = [e if scalar else e.copy() for e in self.eps]
-
-        def dw0():
-            # out = A @ W0 with A = f + sum_i (L_i f) E_i
-            a = rows
-            for lfi, e in zip(lf, eps):
-                a = a + (e * lfi if scalar else lfi @ e.T)
-            return a.T @ g
-
         da = g if identity else g @ self.w0.T
-        d_eps, d_gens = [], []
-        d_in = da.reshape(d, -1)
-        for i, gen in enumerate(self.generators):
-            if scalar:
-                d_eps.append(float(np.sum(lf[i] * da)))
-                dpre = self.eps[i] * da          # gradient flowing into L_i f
-            else:
-                # forward used E = eps^T, so d_eps is the transpose of dE
-                d_eps.append(da.T @ lf[i])
-                dpre = da @ self.eps[i]
-            dpre = dpre.reshape(d, -1)
-            dl = dpre @ grid.T
-            if isinstance(gen, LowRankGenerator):
-                d_gens.append((dl @ gen.v.T, gen.u.T @ dl))
-                d_in = d_in + gen.v.T @ (gen.u.T @ dpre)
-            else:
-                d_gens.append(dl)
-                d_in = d_in + gen.T @ dpre
-        d_in = d_in if self.generators else d_in.copy()
-        return LayerGradients(d_eps=d_eps, d_generators=d_gens,
-                              d_input=d_in.reshape(f.shape).swapaxes(0, -2),
-                              _dw0=dw0)
+        d_gens, dpres = [], []
+        for e, gen in zip(self.eps, self.generators):
+            dpre = (e * da if self.scalar_eps else da @ e).reshape(d, -1)
+            dl = dpre @ grid.T                   # dpre: gradient into L_i f
+            d_gens.append((dl @ gen.v.T, gen.u.T @ dl)
+                          if isinstance(gen, LowRankGenerator) else dl)
+            dpres.append(dpre)
+        return LayerGradients(
+            d_generators=d_gens, _f=f, _upstream=g, _da=da, _lf=lf, _dpre=dpres,
+            _scalar=self.scalar_eps,
+            _eps=[e if self.scalar_eps else e.copy() for e in self.eps],
+            _generators=[_snapshot(gen) for gen in self.generators])
 
 
 def group_action(w, f):

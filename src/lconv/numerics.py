@@ -45,7 +45,11 @@ class EvaluationError(LconvError):
 
 
 def as_matrix(a):
-    """Coerce to a 2-D float64 array without copying when possible."""
+    """Coerce to a 2-D float64 array without copying when possible; a
+    complex input raises DegenerateInputError instead of losing its
+    imaginary part."""
+    if np.iscomplexobj(a):
+        raise DegenerateInputError("expected a real array, got a complex one")
     m = np.asarray(a, dtype=np.float64)
     if m.ndim == 1:
         m = m[:, None]

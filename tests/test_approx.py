@@ -8,8 +8,8 @@ from lconv.groups import (_circulant, _sw_generator_band,
                           sw_rotation_generator, sw_shift_generator,
                           sw_shift_matrix)
 from lconv.layer import LConvLayer, group_action
-from lconv.numerics import (DimensionError, LconvError, SeededRng,
-                            cosine_correlation)
+from lconv.numerics import (DegenerateInputError, DimensionError, LconvError,
+                            SeededRng, cosine_correlation)
 
 
 class TestGconvReference:
@@ -140,6 +140,16 @@ class TestCirculantPower:
     def test_step_count_at_least_one(self, n):
         with pytest.raises(DimensionError):
             approx_group_element(sw_shift_generator(8), 2.0, n)
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-3], ids=["zero-imag", "imag"])
+    def test_complex_generator_raises(self, imag):
+        # a circulant complex generator would otherwise be cast to real,
+        # its imaginary part dropped, and powered on the Fourier path
+        gen = sw_shift_generator(8) + 1j * imag * np.eye(8)
+        with pytest.raises(DegenerateInputError):
+            approx_group_element(gen, 2.0, 4)
+        with pytest.raises(DegenerateInputError):
+            LConvLayer(np.eye(1), [1.0], [gen])
 
 
 def stack_transport(gen, eps, n):

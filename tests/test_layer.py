@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lconv.discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
+                             train_angle_regression, train_fixed_angle)
 from lconv.groups import LowRankGenerator, sw_shift_generator, sw_shift_matrix
 from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
@@ -367,8 +369,16 @@ def grid_major(a):
 
 
 def left_apply(m, f):
-    """m @ f along the grid axis of a (d, *batch, m) array."""
+    """m @ f along the grid axis of a (d, *batch, m) array; a low-rank
+    m = U V is applied as U (V f), as the layer does."""
+    if isinstance(m, LowRankGenerator):
+        return left_apply(m.u, left_apply(m.v, f))
     return (m @ f.reshape(f.shape[0], -1)).reshape(m.shape[0], *f.shape[1:])
+
+
+def transposed(gen):
+    """L^T, as (V^T)(U^T) for a low-rank L = U V."""
+    return LowRankGenerator(gen.v.T, gen.u.T) if isinstance(gen, LowRankGenerator) else gen.T
 
 
 def rows(a):
@@ -389,7 +399,7 @@ def explicit_forward(layer, f):
 
 def explicit_backward(layer, f, upstream):
     """(dW0, d_eps, d_generators, d_input) with every product formed on
-    the grid-major arrays, for dense generators."""
+    the grid-major arrays; a low-rank generator's gradient is (dU, dV)."""
     f, upstream = grid_major(f), grid_major(upstream)
     w0 = layer.w0
     lf = [rows(left_apply(g, f)) for g in layer.generators]
@@ -407,8 +417,10 @@ def explicit_backward(layer, f, upstream):
             d_eps.append(da.T @ lfi)
             dpre = da @ e
         dpre = dpre.reshape(f.shape)
-        d_gens.append(dpre.reshape(f.shape[0], -1) @ f.reshape(f.shape[0], -1).T)
-        d_input = d_input + left_apply(gen.T, dpre)
+        dl = dpre.reshape(f.shape[0], -1) @ f.reshape(f.shape[0], -1).T
+        d_gens.append((dl @ gen.v.T, gen.u.T @ dl)
+                      if isinstance(gen, LowRankGenerator) else dl)
+        d_input = d_input + left_apply(transposed(gen), dpre)
     return a.T @ rows(upstream), d_eps, d_gens, d_input.swapaxes(0, -2)
 
 
@@ -521,6 +533,61 @@ class TestEachProductOnce:
         g = layer.backward(f, up)
         layer.eps[0] += 1.0
         assert np.array_equal(g.dW0, expected)
+
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar-eps", "matrix-eps"])
+    @pytest.mark.parametrize("low_rank", [False, True], ids=["dense", "low-rank"])
+    def test_lazy_gradients_read_parameters_as_of_backward(self, scalar, low_rank):
+        # an optimizer updates every parameter in place after backward; a
+        # later first read of d_eps, d_input or dW0 must still be the
+        # gradient at the old values
+        rng = SeededRng(43)
+        d, m = 5, 2
+        gen = (LowRankGenerator(rng.uniform(d, 2), rng.uniform(2, d)) if low_rank
+               else rng.uniform(d, d))
+        layer = LConvLayer(rng.uniform(m, m), [0.4 if scalar else rng.uniform(m, m)],
+                           [gen])
+        f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
+        dw0, d_eps, _, d_input = explicit_backward(layer, f, up)
+        g = layer.backward(f, up)
+        layer.eps[0] += 1.0
+        layer.w0 += 1.0
+        for a in (gen.u, gen.v) if low_rank else (gen,):
+            a += 1.0
+        assert np.array_equal(np.asarray(g.d_eps), np.asarray(d_eps))
+        assert np.array_equal(g.d_input, d_input)
+        assert np.array_equal(g.dW0, dw0)
+
+    @staticmethod
+    def record_backward(monkeypatch):
+        """The LayerGradients of every LConvLayer.backward call from now on."""
+        calls, backward = [], LConvLayer.backward
+
+        def recording(self, *args, **kwargs):
+            calls.append(backward(self, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(LConvLayer, "backward", recording)
+        return calls
+
+    def test_fixed_angle_step_forms_generator_gradient_only(self, monkeypatch):
+        calls = self.record_backward(monkeypatch)
+        train_fixed_angle(FixedAngleTask(n_train=130, n_test=10, seed=4),
+                          OptimizerConfig(batch_size=64, epochs=1))
+        assert len(calls) == 3
+        for g in calls:
+            assert not {"d_eps", "d_input", "dW0"} & set(vars(g))
+
+    def test_angle_step_forms_input_gradient_only_where_read(self, monkeypatch):
+        calls = self.record_backward(monkeypatch)
+        train_angle_regression(AngleRegressionTask(m_copies=2, recursions=3,
+                                                   n_train=20, n_test=4, seed=4),
+                               OptimizerConfig(batch_size=10, epochs=1))
+        assert len(calls) == 2 * 3
+        for k, g in enumerate(calls):
+            # backward runs from the last recursion to the first, whose
+            # input gradient no one reads
+            assert "d_eps" in vars(g) and "dW0" not in vars(g)
+            assert ("d_input" in vars(g)) == (k % 3 != 2)
 
 
 class TestActivationLayout:
