@@ -39,8 +39,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .groups import (LowRankGenerator, _bilinear_resample, rotation_matrix_bilinear,
-                     sw_rotation_generator)
+from .groups import _bilinear_resample, rotation_matrix_bilinear, sw_rotation_generator
 from .layer import LConvLayer, load_checkpoint, save_checkpoint
 from .numerics import (FormatError, LconvError, SeededRng, check_value,
                        cosine_correlation, frobenius, least_squares_solve, matmul,
@@ -265,9 +264,7 @@ def load_train_state(task, directory):
                          f"{type(task).__name__} model")
     _check_frozen(task, layer, directory)
 
-    gen = layer.generators[0]
-    saved = {"gen": gen.u @ gen.v if isinstance(gen, LowRankGenerator) else gen,
-             "eps": layer.eps[0]}
+    saved = {"gen": layer.generators[0], "eps": layer.eps[0]}
 
     def read(name, file):
         """Parameter `name` from `file`, or from the layer when file is None,

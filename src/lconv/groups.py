@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import DimensionError, LconvError
+from .numerics import LconvError
 
 
 class UnsupportedSizeError(LconvError):
@@ -57,24 +57,6 @@ class GroupElement:
     @property
     def d(self):
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class LowRankGenerator:
-    """A Lie-algebra basis element stored as U V (d x r times r x d); a
-    dense generator is a plain d x d array."""
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        if self.u.shape[1] != self.v.shape[0]:
-            raise DimensionError(
-                f"low-rank inner dimensions differ: {self.u.shape} vs {self.v.shape}")
-
-    @property
-    def shape(self):
-        """Shape of the dense form U V, without forming it."""
-        return self.u.shape[0], self.v.shape[1]
 
 
 def _check_even(d, who):

@@ -2,8 +2,8 @@
 
 A layer holds a channel mixer W0 (m_in x m_out), per-generator channel
 couplings eps^i (m_in x m_in matrices, or all plain scalars, which puts
-the layer in scalar mode) and n_L generators L_i (d x d arrays, or
-`LowRankGenerator(U, V)` for L_i = U V).  The forward map is
+the layer in scalar mode) and n_L generators L_i (d x d float64
+arrays).  The forward map is
 
     Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0
 
@@ -57,7 +57,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import LowRankGenerator
 from .numerics import (DimensionError, FormatError, as_matrix, frobenius, matmul,
                        read_matrix, write_matrix)
 
@@ -77,7 +76,7 @@ class LayerGradients:
     the parameters as they were at the call (it copies eps and the
     generators, and forms upstream W0^T), from f, upstream and the
     stashed L f, which must be left unchanged."""
-    d_generators: list   # dense arrays, or (dU, dV) pairs for low-rank
+    d_generators: list   # d x d arrays
     _f: np.ndarray = field(repr=False)          # grid-major input
     _upstream: np.ndarray = field(repr=False)   # (d B, m_out) rows
     _da: np.ndarray = field(repr=False)         # upstream W0^T
@@ -101,10 +100,7 @@ class LayerGradients:
         f = self._f
         d_in = self._da.reshape(f.shape[0], -1)
         for gen, dpre in zip(self._generators, self._dpre):
-            if isinstance(gen, LowRankGenerator):
-                d_in = d_in + gen.v.T @ (gen.u.T @ dpre)
-            else:
-                d_in = d_in + gen.T @ dpre
+            d_in = d_in + gen.T @ dpre
         d_in = d_in if self._generators else d_in.copy()
         return d_in.reshape(f.shape).swapaxes(0, -2)
 
@@ -117,26 +113,17 @@ class LayerGradients:
         return a.T @ self._upstream
 
 
-def _snapshot(gen):
-    """A copy of a generator in its own memory layout, which sets how BLAS
-    rounds the products with it."""
-    if isinstance(gen, LowRankGenerator):
-        return LowRankGenerator(gen.u.copy(order="K"), gen.v.copy(order="K"))
-    return gen.copy(order="K")
-
-
 class LConvLayer:
     """Parameter container + forward/backward for one L-conv layer."""
 
     def __init__(self, w0, eps, generators):
-        """Scalar mode when every eps is 0-d; dense generators are held
-        as given when they are float64 matrices, so updates in place reach
-        the layer."""
+        """Scalar mode when every eps is 0-d; generators are held as given
+        when they are float64 matrices, so updates in place reach the
+        layer."""
         self.w0 = as_matrix(w0)
         self.scalar_eps = all(np.ndim(e) == 0 for e in eps)
         self.eps = [float(e) for e in eps] if self.scalar_eps else [as_matrix(e) for e in eps]
-        self.generators = [g if isinstance(g, LowRankGenerator) else as_matrix(g)
-                           for g in generators]
+        self.generators = [as_matrix(g) for g in generators]
         self._check_shapes()
 
     def _check_shapes(self):
@@ -183,13 +170,6 @@ class LConvLayer:
                                  f"{f.ndim - 2}, generators have d={self.d}")
         return np.ascontiguousarray(f.swapaxes(0, -2))
 
-    def _gen_apply(self, i, grid):
-        """L_i applied to the (d, B m_in) view `grid` of f."""
-        g = self.generators[i]
-        if isinstance(g, LowRankGenerator):
-            return g.u @ (g.v @ grid)
-        return matmul(g, grid)
-
     def _mixed(self, i, lf, identity):
         """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
         e = self.eps[i]
@@ -208,8 +188,8 @@ class LConvLayer:
         rows = f.reshape(-1, self.m_in)
         identity = _is_identity(self.w0)
         out = rows if identity else rows @ self.w0
-        for i in range(self.n_generators):
-            lfi = self._gen_apply(i, f.reshape(f.shape[0], -1)).reshape(rows.shape)
+        for i, gen in enumerate(self.generators):
+            lfi = matmul(gen, f.reshape(f.shape[0], -1)).reshape(rows.shape)
             if lf is not None:
                 lf.append(lfi)
             out = out + self._mixed(i, lfi, identity)
@@ -235,21 +215,18 @@ class LConvLayer:
                                  dtype=np.float64).reshape(-1, self.m_out)
         identity = _is_identity(self.w0)
         if lf is None:
-            lf = [self._gen_apply(i, grid).reshape(rows.shape)
-                  for i in range(self.n_generators)]
+            lf = [matmul(gen, grid).reshape(rows.shape) for gen in self.generators]
         da = g if identity else g @ self.w0.T
         d_gens, dpres = [], []
-        for e, gen in zip(self.eps, self.generators):
+        for e in self.eps:
             dpre = (e * da if self.scalar_eps else da @ e).reshape(d, -1)
-            dl = dpre @ grid.T                   # dpre: gradient into L_i f
-            d_gens.append((dl @ gen.v.T, gen.u.T @ dl)
-                          if isinstance(gen, LowRankGenerator) else dl)
+            d_gens.append(dpre @ grid.T)         # dpre: gradient into L_i f
             dpres.append(dpre)
         return LayerGradients(
             d_generators=d_gens, _f=f, _upstream=g, _da=da, _lf=lf, _dpre=dpres,
             _scalar=self.scalar_eps,
             _eps=[e if self.scalar_eps else e.copy() for e in self.eps],
-            _generators=[_snapshot(gen) for gen in self.generators])
+            _generators=[gen.copy(order="K") for gen in self.generators])
 
 
 def group_action(w, f):
@@ -295,27 +272,23 @@ def save_checkpoint(layer, directory, extra=None):
     """Write layer parameters as .mat files plus a manifest.json."""
     os.makedirs(directory, exist_ok=True)
     write_matrix(os.path.join(directory, "W0.mat"), layer.w0)
-    gens = []
-    for i, g in enumerate(layer.generators):
-        e = layer.eps[i]
+    for i, (e, g) in enumerate(zip(layer.eps, layer.generators)):
         write_matrix(os.path.join(directory, f"eps_{i}.mat"),
                      np.array([[e]]) if layer.scalar_eps else e)
-        if isinstance(g, LowRankGenerator):
-            write_matrix(os.path.join(directory, f"gen_{i}_U.mat"), g.u)
-            write_matrix(os.path.join(directory, f"gen_{i}_V.mat"), g.v)
-            gens.append({"form": "low_rank"})
-        else:
-            write_matrix(os.path.join(directory, f"gen_{i}.mat"), g)
-            gens.append({"form": "dense"})
-    manifest = {"scalar_eps": layer.scalar_eps, "generators": gens,
+        write_matrix(os.path.join(directory, f"gen_{i}.mat"), g)
+    manifest = {"scalar_eps": layer.scalar_eps,
+                "generators": [{"form": "dense"}] * layer.n_generators,
                 "extra": extra or {}}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+_MANIFEST_TYPES = {"extra": dict, "generators": list, "scalar_eps": bool}
+
+
 def _read_manifest(directory):
-    """A checkpoint's manifest.json, checked to describe a layer that
-    loads as it was saved; raises FormatError if it does not."""
+    """A checkpoint's manifest.json, checked to hold exactly what
+    save_checkpoint writes; raises FormatError if it does not."""
     path = os.path.join(directory, "manifest.json")
     with open(path, "rb") as fh:
         try:
@@ -324,15 +297,16 @@ def _read_manifest(directory):
             raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path} holds no JSON object")
-    for key, kind in (("scalar_eps", bool), ("generators", list), ("extra", dict)):
-        if not isinstance(manifest.get(key), kind):
-            raise FormatError(f"{path}: {key!r} is missing or not a {kind.__name__}")
-    for desc in manifest["generators"]:   # an older entry's "label" is ignored
-        if not (isinstance(desc, dict) and desc.get("form") in ("dense", "low_rank")):
-            raise FormatError(f"{path}: bad generator entry {desc!r}")
-    # older manifests record the layer form; only the residual one loads
-    if manifest.get("has_bias", False) or not manifest.get("include_residual", True):
-        raise FormatError(f"{path} holds a layer with a tanh head or no residual path")
+    if sorted(manifest) != sorted(_MANIFEST_TYPES):
+        raise FormatError(f"{path} has keys {sorted(manifest)}, "
+                          f"expected exactly {sorted(_MANIFEST_TYPES)}")
+    for key, kind in _MANIFEST_TYPES.items():
+        if not isinstance(manifest[key], kind):
+            raise FormatError(f"{path}: {key!r} is not a {kind.__name__}")
+    for desc in manifest["generators"]:
+        if desc != {"form": "dense"}:
+            raise FormatError(f"{path}: generator entry {desc!r} is not "
+                              f"{{'form': 'dense'}}")
     return manifest
 
 
@@ -343,16 +317,11 @@ def load_checkpoint(directory):
     w0 = read_matrix(os.path.join(directory, "W0.mat"))
     eps = []
     gens = []
-    for i, desc in enumerate(manifest["generators"]):
+    for i in range(len(manifest["generators"])):
         path = os.path.join(directory, f"eps_{i}.mat")
         e = read_matrix(path)
         if manifest["scalar_eps"] and e.shape != (1, 1):
             raise FormatError(f"{path} holds a {e.shape} matrix, not a scalar eps")
         eps.append(float(e[0, 0]) if manifest["scalar_eps"] else e)
-        if desc["form"] == "low_rank":
-            u = read_matrix(os.path.join(directory, f"gen_{i}_U.mat"))
-            v = read_matrix(os.path.join(directory, f"gen_{i}_V.mat"))
-            gens.append(LowRankGenerator(u, v))
-        else:
-            gens.append(read_matrix(os.path.join(directory, f"gen_{i}.mat")))
+        gens.append(read_matrix(os.path.join(directory, f"gen_{i}.mat")))
     return LConvLayer(w0, eps, gens), manifest

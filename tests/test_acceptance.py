@@ -20,7 +20,7 @@ from lconv.fieldtheory import (FieldTheoryTerms, el_residual, field_terms,
                                helmholtz_convergence, helmholtz_field,
                                loss_terms, metric_equivariance_check,
                                mse_loss_decomposed, mse_loss_direct)
-from lconv.groups import LowRankGenerator, sw_shift_generator, sw_shift_matrix
+from lconv.groups import sw_shift_generator, sw_shift_matrix
 from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action)
@@ -126,23 +126,14 @@ class TestCriterion04GradientCorrectness:
             d = int(rng.integers(3, 9))
             m_in = int(rng.integers(1, 4))
             m_out = int(rng.integers(1, 4))
-            low_rank = trial % 2 == 1
-            r = 2
-            shapes = [(m_in, m_out), (m_in, m_in)]
-            shapes += [(d, r), (r, d)] if low_rank else [(d, d)]
+            shapes = [(m_in, m_out), (m_in, m_in), (d, d)]
             f = rng.uniform_signed(0.7, (d, m_in))
             tgt = rng.uniform_signed(0.7, (d, m_out))
 
             def build(p):
-                chunks = []
-                i = 0
-                for s in shapes:
-                    n = int(np.prod(s))
-                    chunks.append(p[i:i + n].reshape(s))
-                    i += n
-                gens = ([LowRankGenerator(chunks[2], chunks[3])]
-                        if low_rank else [chunks[2]])
-                return LConvLayer(chunks[0], [chunks[1]], gens)
+                w0, eps, gen = np.split(p, np.cumsum([a * b for a, b in shapes])[:-1])
+                return LConvLayer(w0.reshape(shapes[0]), [eps.reshape(shapes[1])],
+                                  [gen.reshape(shapes[2])])
 
             p0 = np.concatenate([rng.uniform_signed(0.6, s).ravel() for s in shapes])
             fd = finite_difference_gradient(
@@ -150,14 +141,11 @@ class TestCriterion04GradientCorrectness:
                 p0, 1e-6)
             layer = build(p0)
             g = layer.backward(f, layer.forward(f) - tgt)
-            parts = [g.dW0.ravel(), g.d_eps[0].ravel()]
-            if low_rank:
-                parts += [g.d_generators[0][0].ravel(), g.d_generators[0][1].ravel()]
-            else:
-                parts.append(g.d_generators[0].ravel())
-            worst = max(worst, _rel(np.concatenate(parts), fd))
+            an = np.concatenate([g.dW0.ravel(), g.d_eps[0].ravel(),
+                                 g.d_generators[0].ravel()])
+            worst = max(worst, _rel(an, fd))
         assert worst <= 1e-5
-        report("criterion 4a (layer gradients: W0, eps, dense + low-rank U/V)",
+        report("criterion 4a (layer gradients: W0, eps, generator)",
                f"20 random instances, worst relative error {worst:.2e} <= 1e-5")
 
     def test_recursive_and_head_gradients(self):

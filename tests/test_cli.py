@@ -209,29 +209,6 @@ class TestTrain:
         assert run("train", "--config", resumed) == 0
         assert reads == [str(tmp_path / "short" / "checkpoint")]
 
-    def test_resume_from_older_checkpoint_format(self, tmp_path):
-        # checkpoints of earlier versions also hold a JSON file of the
-        # parameter shapes and the manifest keys m_in, m_out, d and
-        # n_generators; neither is read, and the run resumes exactly
-        def train(out, epochs, **extra):
-            path = write_cfg(tmp_path / f"{out}.json", dict(
-                ANGLE, optimizer=dict(OPT, epochs=epochs),
-                out_dir=str(tmp_path / out), **extra))
-            assert run("train", "--config", path) == 0
-
-        train("full", 2)
-        train("short", 1)
-        ckpt = tmp_path / "short" / "checkpoint"
-        (ckpt / "param_shapes.json").write_text(json.dumps(
-            {"b1": [5], "b2": [1], "eps": [10, 10], "gen": [49, 49],
-             "v1": [10, 5], "v2": [5, 1]}))
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest.update(m_in=10, m_out=10, d=49, n_generators=1)
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        train("resumed", 2, resume=str(ckpt))
-        assert (file_sha(tmp_path / "resumed" / "generator.mat")
-                == file_sha(tmp_path / "full" / "generator.mat"))
-
     def test_checkpoint_holds_no_unread_keys(self, tmp_path):
         assert run("train", "--config", self._train_cfg(tmp_path, "run")) == 0
         ckpt = tmp_path / "run" / "checkpoint"
@@ -356,6 +333,14 @@ MANIFEST_EDITS = {
         dict(m, generators=[dict(m["generators"][0], form="sparse")])),
     "tanh-head": lambda m: json.dumps(dict(m, has_bias=True)),
     "no-residual": lambda m: json.dumps(dict(m, include_residual=False)),
+    # what checkpoints of earlier versions held: one format loads, not these
+    "low-rank-form": lambda m: json.dumps(dict(m, generators=[{"form": "low_rank"}])),
+    "labelled-entry": lambda m: json.dumps(
+        dict(m, generators=[{"form": "dense", "label": "x"}])),
+    "older-shape-keys": lambda m: json.dumps(dict(m, m_in=1, m_out=1, d=49, n_generators=1)),
+    "legacy-train-flags": lambda m: json.dumps(
+        dict(m, train_w0=False, train_eps=False, train_generators=True)),
+    "residual-flags": lambda m: json.dumps(dict(m, has_bias=False, include_residual=True)),
     "no-epoch": lambda m: json.dumps(
         dict(m, extra={k: v for k, v in m["extra"].items() if k != "epoch"})),
 }

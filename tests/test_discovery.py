@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -291,22 +290,6 @@ class TestFixedAngleTraining:
                                     resume=load_train_state(task, ck))
         assert [r[0] for r in resumed.loss_curve] == [3, 4]
         assert resumed.loss_curve == full.loss_curve[3:]
-        assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
-
-    def test_resume_from_manifest_with_legacy_train_flags(self, tmp_path):
-        # checkpoints written before the unread train_w0/train_eps/
-        # train_generators flags were dropped still carry them
-        task = FixedAngleTask(n_train=300, n_test=60, seed=8)
-        full = train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=3))
-        ck = tmp_path / "ck"
-        train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=2),
-                          checkpoint_dir=ck)
-        manifest = json.loads((ck / "manifest.json").read_text())
-        manifest.update(train_w0=False, train_eps=False, train_generators=True)
-        (ck / "manifest.json").write_text(json.dumps(manifest))
-        resumed = train_fixed_angle(task, OptimizerConfig(lr=1e-2, batch_size=60, epochs=3),
-                                    resume=load_train_state(task, ck))
-        assert resumed.loss_curve == full.loss_curve[2:]
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
 
     @pytest.mark.parametrize("train, task", [
