@@ -1,12 +1,13 @@
 """Building finite group convolutions out of near-identity steps.
 
-A group convolution with a kernel sampled as point masses c_k at group
-elements u_k is evaluated exactly by `gconv_reference`.  Each anchor u_k
-of a one-parameter family can in turn be approximated by a product of
-near-identity factors (I + (z/n) L)^n, which is what a stack of L-conv
-layers with W0 = I realizes.  The measurable content is the error
-scaling: O(eta^2) for a single step of size eta, O(eta) for the composed
-product at fixed total parameter, both estimated by log-log slopes.
+A group convolution with a kernel sampled as point masses c_k at the
+d x d matrices u_k of group elements is evaluated exactly by
+`gconv_reference`.  Each anchor u_k of a one-parameter family can in
+turn be approximated by a product of near-identity factors
+(I + (z/n) L)^n, which is what a stack of L-conv layers with W0 = I
+realizes.  The measurable content is the error scaling: O(eta^2) for a
+single step of size eta, O(eta) for the composed product at fixed total
+parameter, both estimated by log-log slopes.
 
 On the Shannon-Whittaker shift family the construction is exact in the
 n -> infinity limit for even total shifts: the unpaired Nyquist mode of an
@@ -18,8 +19,6 @@ An exactly circulant generator is diagonal in the DFT basis (the SW one
 with Nyquist eigenvalue 0), so its step product is powered mode by mode.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groups import _circulant, sw_shift_generator, sw_shift_matrix
@@ -27,24 +26,9 @@ from .numerics import (DimensionError, as_matrix, check_value, cosine_correlatio
                        frobenius)
 
 
-@dataclass(frozen=True)
-class SampledKernel:
-    """Point-mass kernel: scalar weights c_k attached to anchors u_k."""
-    anchors: tuple      # of GroupElement
-    weights: tuple      # of floats
-
-    def __post_init__(self):
-        if not self.anchors:
-            raise DimensionError("a sampled kernel needs at least one anchor")
-        if len(self.anchors) != len(self.weights):
-            raise DimensionError("anchor/weight counts differ")
-        ds = {a.d for a in self.anchors}
-        if len(ds) != 1:
-            raise DimensionError(f"anchors disagree on dimension: {sorted(ds)}")
-
-
-def gconv_reference(f, kernel):
-    """Exact group convolution of f (d x m) with a point-mass kernel.
+def gconv_reference(f, anchors, weights):
+    """Exact group convolution of f (d x m) with a point-mass kernel: the
+    scalar weights c_k at the d x d anchor matrices u_k.
 
     Output row mu is the kernel-weighted read-out of f at the lift points
     g_mu u_k; for shift anchors this reduces to sum_k c_k u_k^T f, the
@@ -52,13 +36,16 @@ def gconv_reference(f, kernel):
     every channel.
     """
     f = as_matrix(f)
-    d = kernel.anchors[0].d
-    if f.shape[0] != d:
-        raise DimensionError(f"f has {f.shape[0]} rows, anchors act on {d}")
-    out = None
-    for u, c in zip(kernel.anchors, kernel.weights):
-        term = (u.matrix.T @ f) * c
-        out = term if out is None else out + term
+    if len(anchors) == 0:
+        raise DimensionError("a point-mass kernel needs at least one anchor")
+    if len(anchors) != len(weights):
+        raise DimensionError(f"{len(anchors)} anchors vs {len(weights)} weights")
+    out = 0.0
+    for u, c in zip(anchors, weights):
+        if np.shape(u) != (f.shape[0],) * 2:
+            raise DimensionError(f"anchor of shape {np.shape(u)} does not act on "
+                                 f"f's {f.shape[0]} rows")
+        out = out + (u.T @ f) * c
     return out
 
 
@@ -84,23 +71,16 @@ def approx_group_element(gen, z, n):
     return np.linalg.matrix_power(np.eye(l.shape[0]) + (float(z) / n) * l, n)
 
 
-def shift_kernel(d, offsets, weights):
-    """SampledKernel of integer SW shifts g_mu with scalar weights."""
-    return SampledKernel(anchors=tuple(sw_shift_matrix(d, mu) for mu in offsets),
-                         weights=tuple(float(w) for w in weights))
-
-
 def circular_convolve(f, taps):
     """Direct circular 1-D convolution: out[nu] = sum_mu taps[mu] f[nu - mu]."""
     f = as_matrix(f)
-    d = f.shape[0]
     out = np.zeros_like(f)
     for mu, w in enumerate(taps):
         out += w * np.roll(f, mu, axis=0)
     return out
 
 
-def cnn_equivalence_check(kernel_weights, d, f=None):
+def cnn_equivalence_check(kernel_weights, d, f):
     """Max-abs gap between a circular 1-D CNN and its G-conv realization.
 
     The CNN with taps w_mu applied as out[nu] = sum_mu w_mu f[nu - mu] is
@@ -110,9 +90,10 @@ def cnn_equivalence_check(kernel_weights, d, f=None):
     taps = np.asarray(kernel_weights, dtype=np.float64).ravel()
     if taps.size > d:
         raise DimensionError(f"kernel size {taps.size} exceeds grid size {d}")
-    f = as_matrix(np.arange(d, dtype=np.float64) if f is None else f)
-    kernel = shift_kernel(d, range(taps.size), taps)
-    return float(np.abs(gconv_reference(f, kernel) - circular_convolve(f, taps)).max())
+    f = as_matrix(f)
+    anchors = [sw_shift_matrix(d, mu).matrix for mu in range(taps.size)]
+    return float(np.abs(gconv_reference(f, anchors, taps)
+                        - circular_convolve(f, taps)).max())
 
 
 def shift_approx_sweep(d, z, n_values):

@@ -193,13 +193,10 @@ def cmd_train(cfg, args):
         report = train(task, opt, resume=resume,
                        checkpoint_dir=os.path.join(out_dir, "checkpoint"))
     except TrainingDivergedError as exc:
-        if exc.report is not None:
-            _write_report(out_dir, exc.report)
+        _write_report(out_dir, exc.report)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _write_report(out_dir, report)
-    _write_json(os.path.join(out_dir, "correlations.json"),
-                dict(report.correlations, final_test_mse=report.final_test_mse))
     return EXIT_OK
 
 

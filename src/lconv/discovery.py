@@ -51,7 +51,7 @@ class NonFiniteGradientError(LconvError):
 
 
 class TrainingDivergedError(LconvError):
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 
@@ -78,13 +78,13 @@ class OptimizerConfig:
             raise LconvError(f"need kind 'adam' and lr > 0, got {self}")
 
 
-def adam_init(params, moments=None):
+def adam_init(params, moments):
     """Adam state for `params`, which move with both moments into one
     contiguous float64 buffer: afterwards params[k], state["m"][k] and
     state["v"][k] are views into it, so a step updates every parameter
     with one call per operation.  Arrays that held the parameters before
-    no longer see the updates.  The moments start at zero, or at those of
-    `moments`, a state as `load_train_state` returns it."""
+    no longer see the updates.  The moments start at zero (moments None)
+    or at those of `moments`, a state as `load_train_state` returns it."""
     names = list(params)
     flat = np.zeros((3, sum(np.size(params[k]) for k in names)))
     state = {"t": moments["t"] if moments else 0, "m": {}, "v": {}, "flat": flat}

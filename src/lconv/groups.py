@@ -54,10 +54,6 @@ class GroupElement:
     matrix: np.ndarray
     inverse: np.ndarray = field(repr=False)
 
-    @property
-    def d(self):
-        return self.matrix.shape[0]
-
 
 def _check_even(d, who):
     if d < 4 or d % 2 != 0:
@@ -66,18 +62,13 @@ def _check_even(d, who):
 
 
 def _sw_band(d, z):
-    """Band D(z + k) for k = 0..d-1.
-
-    Even d: endpoint terms p = +-d/2 at half weight (the unique real
-    convention with D(integer) = delta).  Odd d: the plain Dirichlet sum,
-    which is exact and fully closed.
-    """
+    """Band D(z + k) for k = 0..d-1 on an even grid of size d, with the
+    endpoint terms p = +-d/2 at half weight (the unique real convention
+    with D(integer) = delta)."""
     v = z + np.arange(d, dtype=np.float64)
-    p = np.arange(1, (d + 1) // 2, dtype=np.float64)
+    p = np.arange(1, d // 2, dtype=np.float64)
     band = 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(p, v) / d).sum(axis=0)
-    if d % 2 == 0:
-        band += np.cos(np.pi * v)
-    return band / d
+    return (band + np.cos(np.pi * v)) / d
 
 
 def _circulant(band):

@@ -2,7 +2,7 @@
 
 A layer holds a channel mixer W0 (m_in x m_out), per-generator channel
 couplings eps^i (m_in x m_in matrices, or all plain scalars, which puts
-the layer in scalar mode) and n_L generators L_i (d x d float64
+the layer in scalar mode) and n_L >= 1 generators L_i (d x d float64
 arrays).  The forward map is
 
     Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0
@@ -101,7 +101,6 @@ class LayerGradients:
         d_in = self._da.reshape(f.shape[0], -1)
         for gen, dpre in zip(self._generators, self._dpre):
             d_in = d_in + gen.T @ dpre
-        d_in = d_in if self._generators else d_in.copy()
         return d_in.reshape(f.shape).swapaxes(0, -2)
 
     @cached_property
@@ -136,6 +135,8 @@ class LConvLayer:
         if len(self.eps) != len(self.generators):
             raise DimensionError(
                 f"{len(self.eps)} eps blocks vs {len(self.generators)} generators")
+        if not self.generators:
+            raise DimensionError("a layer needs at least one generator")
         shapes = [g.shape for g in self.generators]
         if any(s != (shapes[0][0],) * 2 for s in shapes):
             raise DimensionError(f"generators are not all d x d for one d: {shapes}")
@@ -154,7 +155,7 @@ class LConvLayer:
 
     @property
     def d(self):
-        return self.generators[0].shape[0] if self.generators else None
+        return self.generators[0].shape[0]
 
     # -- forward ---------------------------------------------------------
 
@@ -165,7 +166,7 @@ class LConvLayer:
         if f.ndim < 2 or f.shape[-1] != self.m_in:
             raise DimensionError(f"input of shape {f.shape} does not end in "
                                  f"m_in={self.m_in} channels")
-        if self.d is not None and f.shape[-2] != self.d:
+        if f.shape[-2] != self.d:
             raise DimensionError(f"input has {f.shape[-2]} grid points on axis "
                                  f"{f.ndim - 2}, generators have d={self.d}")
         return np.ascontiguousarray(f.swapaxes(0, -2))
@@ -193,7 +194,6 @@ class LConvLayer:
             if lf is not None:
                 lf.append(lfi)
             out = out + self._mixed(i, lfi, identity)
-        out = rows.copy() if out is rows else out   # never a view of the input
         return out.reshape(f.shape[:-1] + (self.m_out,)).swapaxes(0, -2)
 
     # -- backward --------------------------------------------------------
@@ -268,7 +268,7 @@ def gcn_reduction_check(f, propagation, w):
 
 # -- checkpoints ----------------------------------------------------------
 
-def save_checkpoint(layer, directory, extra=None):
+def save_checkpoint(layer, directory, extra):
     """Write layer parameters as .mat files plus a manifest.json."""
     os.makedirs(directory, exist_ok=True)
     write_matrix(os.path.join(directory, "W0.mat"), layer.w0)
@@ -278,7 +278,7 @@ def save_checkpoint(layer, directory, extra=None):
         write_matrix(os.path.join(directory, f"gen_{i}.mat"), g)
     manifest = {"scalar_eps": layer.scalar_eps,
                 "generators": [{"form": "dense"}] * layer.n_generators,
-                "extra": extra or {}}
+                "extra": extra}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 

@@ -51,14 +51,12 @@ def as_matrix(a):
     if np.iscomplexobj(a):
         raise DegenerateInputError("expected a real array, got a complex one")
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
     return m
 
 
-def check_finite(m, what="matrix"):
+def check_finite(m, what):
     if not np.all(np.isfinite(m)):
         raise DegenerateInputError(f"{what} contains NaN or Inf entries")
     return m

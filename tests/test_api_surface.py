@@ -1,11 +1,11 @@
 """Every public function and class of the library has a caller outside its
 own tests: library code other than its own definition, a demo, the bench
-or the acceptance suite; and each defaulted parameter of a public function,
-and each field of a config dataclass, is set by some call there.  A
-reference is an AST name or attribute, so a mention in a docstring or
-comment does not count.  The defaulted-parameter check also covers the
-public methods of public classes, `__init__` included, which a call of
-the class reaches."""
+or the acceptance suite; each defaulted parameter of a public function,
+and each field of a config dataclass, is set by some call there; and no
+such parameter is passed by every call there.  A reference is an AST
+name or attribute, so a mention in a docstring or comment does not
+count.  The defaulted-parameter checks also cover the public methods of
+public classes, `__init__` included, which a call of the class reaches."""
 
 import ast
 import pathlib
@@ -105,9 +105,9 @@ def _callables():
                 yield f"{symbol}.{method.name}", method, name, 1
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
-    """A default no caller overrides is a constant dressed as an option."""
-    unset = []
+def _defaulted():
+    """(symbol, position or None, name, the calls that reach it) for each
+    defaulted parameter of each public callable."""
     for symbol, definition, name, skip in _callables():
         args = definition.args
         positional = (args.posonlyargs + args.args)[skip:]
@@ -116,11 +116,28 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
         defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                       if d is not None]
         calls = [call for call, names in CALLS if name in names]
-        unset += [f"lconv.{symbol}({arg}=)" for i, arg in defaulted
-                  if not any(_sets(call, i, arg) for call in calls)]
+        for i, arg in defaulted:
+            yield symbol, i, arg, calls
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A default no caller overrides is a constant dressed as an option."""
+    unset = [f"lconv.{symbol}({arg}=)" for symbol, i, arg, calls in _defaulted()
+             if not any(_sets(call, i, arg) for call in calls)]
     assert not unset, (
         f"{', '.join(unset)}: set by no call in library code, a demo, the "
         "bench or the acceptance suite")
+
+
+def test_no_default_is_passed_by_every_caller():
+    """A default every caller overrides serves only the tests.  A call with
+    a * or ** argument counts as passing it, so such a call can only make
+    this check stricter."""
+    always = [f"lconv.{symbol}({arg}=)" for symbol, i, arg, calls in _defaulted()
+              if calls and all(_sets(call, i, arg) for call in calls)]
+    assert not always, (
+        f"{', '.join(always)}: passed by every call in library code, the demos, "
+        "the bench and the acceptance suite, so only the tests use the default")
 
 
 def test_every_config_field_is_set_by_a_caller():

@@ -3,7 +3,7 @@ import pytest
 
 from lconv.approx import (approx_group_element, circular_convolve,
                           cnn_equivalence_check, fit_loglog_slope,
-                          gconv_reference, shift_approx_sweep, shift_kernel)
+                          gconv_reference, shift_approx_sweep)
 from lconv.groups import (_circulant, _sw_generator_band,
                           sw_rotation_generator, sw_shift_generator,
                           sw_shift_matrix)
@@ -12,37 +12,51 @@ from lconv.numerics import (DegenerateInputError, DimensionError, LconvError,
                             SeededRng, cosine_correlation)
 
 
+def _shifts(d, offsets):
+    """The matrices of the integer SW shifts g_mu, as gconv_reference anchors."""
+    return [sw_shift_matrix(d, mu).matrix for mu in offsets]
+
+
 class TestGconvReference:
     def test_two_shift_anchors_match_direct_shifts(self):
         rng = SeededRng(41)
         d = 12
         f = rng.uniform(d, 1)
-        kernel = shift_kernel(d, [1, 2], [0.7, -0.3])
-        out = gconv_reference(f, kernel)
+        out = gconv_reference(f, _shifts(d, [1, 2]), [0.7, -0.3])
         direct = 0.7 * np.roll(f, 1, axis=0) - 0.3 * np.roll(f, 2, axis=0)
         assert np.abs(out - direct).max() < 1e-10
 
     def test_zero_weights(self):
         d = 8
         f = SeededRng(42).uniform(d, 1)
-        kernel = shift_kernel(d, [0, 1], [0.0, 0.0])
-        assert np.abs(gconv_reference(f, kernel)).max() == 0.0
+        assert np.abs(gconv_reference(f, _shifts(d, [0, 1]), [0.0, 0.0])).max() == 0.0
 
     def test_equivariance_under_commuting_shifts(self):
         rng = SeededRng(43)
         d = 16
         f = rng.uniform(d, 2)
-        kernel = shift_kernel(d, [0, 1, 3], [0.5, 0.3, -0.1])
+        anchors, weights = _shifts(d, [0, 1, 3]), [0.5, 0.3, -0.1]
         for z in (1.0, 0.4, -2.3):
             w = sw_shift_matrix(d, z)
-            lhs = gconv_reference(group_action(w, f), kernel)
-            rhs = group_action(w, gconv_reference(f, kernel))
+            lhs = gconv_reference(group_action(w, f), anchors, weights)
+            rhs = group_action(w, gconv_reference(f, anchors, weights))
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
     def test_dimension_mismatch(self):
-        kernel = shift_kernel(8, [0], [1.0])
-        with pytest.raises(DimensionError):
-            gconv_reference(np.zeros((6, 1)), kernel)
+        with pytest.raises(DimensionError, match="does not act on f's 6 rows"):
+            gconv_reference(np.zeros((6, 1)), _shifts(8, [0]), [1.0])
+
+    def test_anchor_not_square(self):
+        with pytest.raises(DimensionError, match=r"shape \(8, 4\)"):
+            gconv_reference(np.zeros((8, 1)), [np.eye(8), np.zeros((8, 4))], [1.0, 1.0])
+
+    def test_needs_an_anchor(self):
+        with pytest.raises(DimensionError, match="at least one anchor"):
+            gconv_reference(np.zeros((8, 1)), [], [])
+
+    def test_one_weight_per_anchor(self):
+        with pytest.raises(DimensionError, match="2 anchors vs 1 weights"):
+            gconv_reference(np.zeros((8, 1)), _shifts(8, [0, 1]), [1.0])
 
 
 class TestApproxGroupElement:
@@ -193,7 +207,8 @@ class TestLconvStack:
 
 class TestCnnEquivalence:
     def test_identity_kernel(self):
-        assert cnn_equivalence_check([1.0], 8) < 1e-12
+        f = np.arange(8, dtype=np.float64)[:, None]
+        assert cnn_equivalence_check([1.0], 8, f) < 1e-12
 
     def test_moving_average(self):
         rng = SeededRng(44)
@@ -201,8 +216,8 @@ class TestCnnEquivalence:
         gap = cnn_equivalence_check([0.5, 0.5], 8, f=f)
         assert gap < 1e-10
         direct = 0.5 * f + 0.5 * np.roll(f, 1, axis=0)
-        kernel = shift_kernel(8, [0, 1], [0.5, 0.5])
-        assert np.abs(gconv_reference(f, kernel) - direct).max() < 1e-10
+        out = gconv_reference(f, _shifts(8, [0, 1]), [0.5, 0.5])
+        assert np.abs(out - direct).max() < 1e-10
 
     def test_one_hot_offset(self):
         rng = SeededRng(45)
@@ -220,7 +235,7 @@ class TestCnnEquivalence:
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
-            cnn_equivalence_check(np.ones(9), 8)
+            cnn_equivalence_check(np.ones(9), 8, np.zeros((8, 1)))
 
     def test_circular_convolve_reference(self):
         f = np.arange(5, dtype=float)[:, None]

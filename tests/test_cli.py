@@ -341,6 +341,7 @@ MANIFEST_EDITS = {
     "legacy-train-flags": lambda m: json.dumps(
         dict(m, train_w0=False, train_eps=False, train_generators=True)),
     "residual-flags": lambda m: json.dumps(dict(m, has_bias=False, include_residual=True)),
+    "no-generators": lambda m: json.dumps(dict(m, generators=[])),
     "no-epoch": lambda m: json.dumps(
         dict(m, extra={k: v for k, v in m["extra"].items() if k != "epoch"})),
 }

@@ -27,7 +27,7 @@ class TestOptimizers:
     def test_zero_gradient_no_change(self):
         params = {"p": np.array([[1.5, -0.5]])}
         cfg = OptimizerConfig(lr=0.01)
-        state = adam_init(params)
+        state = adam_init(params, None)
         adam_step({"p": np.zeros((1, 2))}, state, cfg)
         assert np.array_equal(params["p"], [[1.5, -0.5]])
 
@@ -35,14 +35,14 @@ class TestOptimizers:
         # bias-corrected first step is lr * g / (|g| + eps)
         cfg = OptimizerConfig(lr=0.01)
         params = {"p": np.array([[0.0]])}
-        state = adam_init(params)
+        state = adam_init(params, None)
         adam_step({"p": np.array([[1.0]])}, state, cfg)
         expected = -cfg.lr * 1.0 / (1.0 + ADAM_EPS)
         assert params["p"][0, 0] == pytest.approx(expected, abs=1e-6)
 
     def test_nonfinite_gradient_rejected(self):
         params = {"a": np.array([[1.0]]), "p": np.array([[1.0]])}
-        state = adam_init(params)
+        state = adam_init(params, None)
         with pytest.raises(NonFiniteGradientError, match="'p'"):
             adam_step({"a": np.array([[1.0]]), "p": np.array([[np.nan]])}, state,
                       OptimizerConfig())
@@ -72,7 +72,7 @@ class TestOptimizers:
                 ref[k] -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         params = {k: v.copy() for k, v in start.items()}
-        state = adam_init(params)
+        state = adam_init(params, None)
         for step in grads[:20]:
             adam_step(step, state, cfg)
         layer = LConvLayer(w0=np.eye(10), eps=[params["eps"]],
@@ -449,7 +449,7 @@ class TestTrainStateIO:
                   "v2": rng.uniform(3, 1), "b2": np.zeros(1)}
         layer = LConvLayer(w0=np.eye(2), eps=[params["eps"]],
                            generators=[params["gen"]])
-        state = adam_init(params)
+        state = adam_init(params, None)
         state["t"] = 17
         state["m"]["gen"] += 0.5
         save_train_state(tmp_path / "s", layer, params, state, 9)

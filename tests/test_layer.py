@@ -73,6 +73,10 @@ class TestForward:
         with pytest.raises(DimensionError, match="d x d"):
             LConvLayer(np.eye(1), [1.0] * len(gens), gens)
 
+    def test_needs_a_generator(self):
+        with pytest.raises(DimensionError, match="at least one generator"):
+            LConvLayer(np.eye(2), [], [])
+
     def test_float64_generator_is_held_as_given(self):
         m = SeededRng(35).uniform(4, 4)
         assert LConvLayer(np.eye(1), [1.0], [m]).generators[0] is m
@@ -235,7 +239,7 @@ class TestGcnReduction:
 class TestCheckpoint:
     def test_scalar_eps_must_be_1x1(self, tmp_path):
         layer = LConvLayer(np.eye(1), [0.5], [np.eye(3)])
-        save_checkpoint(layer, tmp_path / "ckpt")
+        save_checkpoint(layer, tmp_path / "ckpt", {})
         assert load_checkpoint(tmp_path / "ckpt")[0].eps == [0.5]
         write_matrix(tmp_path / "ckpt" / "eps_0.mat", np.zeros((0, 3)))
         with pytest.raises(FormatError, match="scalar eps"):
@@ -257,7 +261,7 @@ class TestCheckpoint:
 
     def test_generator_entries_hold_only_form(self, tmp_path):
         # the reader accepts exactly what save_checkpoint writes
-        save_checkpoint(LConvLayer(np.eye(1), [0.5], [np.eye(4)]), tmp_path / "ckpt")
+        save_checkpoint(LConvLayer(np.eye(1), [0.5], [np.eye(4)]), tmp_path / "ckpt", {})
         path = tmp_path / "ckpt" / "manifest.json"
         written = json.loads(path.read_text())
         assert written["generators"] == [{"form": "dense"}]

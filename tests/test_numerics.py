@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from lconv.numerics import (DegenerateInputError, DimensionError, FormatError,
-                            SeededRng, SingularSystemError, cosine_correlation,
-                            finite_difference_gradient, frobenius,
+                            SeededRng, SingularSystemError, as_matrix,
+                            cosine_correlation, finite_difference_gradient, frobenius,
                             least_squares_solve, read_matrix, write_matrix,
                             write_csv)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 2)], ids=["1-D", "0-D", "3-D"])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(DimensionError, match=f"ndim={len(shape)}"):
+            as_matrix(np.zeros(shape))
 
 
 class TestCosineCorrelation:
