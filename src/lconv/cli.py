@@ -162,10 +162,9 @@ def cmd_gen_data(cfg, args):
 
 
 def _write_report(out_dir, report):
-    body = report.to_dict()
-    wall = body.pop("wall_clock_sec")
-    _write_json(os.path.join(out_dir, "report.json"), body)
-    _write_json(os.path.join(out_dir, "timing.json"), {"wall_clock_sec": wall})
+    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    _write_json(os.path.join(out_dir, "timing.json"),
+                {"wall_clock_sec": report.wall_clock_sec, "phase_sec": report.phases})
     write_csv(os.path.join(out_dir, "loss.csv"),
               ("epoch", "train_mse", "test_mse"),
               [(int(e), float(tr), float(te)) for e, tr, te in report.loss_curve])

@@ -32,6 +32,7 @@ permutations of the epochs it skips, so it continues the unbroken run
 bit for bit.
 """
 
+import contextlib
 import math
 import os
 import time
@@ -79,45 +80,59 @@ class OptimizerConfig:
 
 
 def adam_init(params, moments):
-    """Adam state for `params`, which move with both moments into one
-    contiguous float64 buffer: afterwards params[k], state["m"][k] and
+    """Adam state for `params`, which move with both moments into rows of
+    one contiguous float64 buffer: afterwards params[k], state["m"][k] and
     state["v"][k] are views into it, so a step updates every parameter
-    with one call per operation.  Arrays that held the parameters before
-    no longer see the updates.  The moments start at zero (moments None)
-    or at those of `moments`, a state as `load_train_state` returns it."""
+    with one call per operation.  Two more rows, state["g"] (one view per
+    parameter) and a scratch row, hold a step's gradient and
+    intermediates, so a step makes no temporary arrays.  Arrays that held the
+    parameters before no longer see the updates.  The moments start at
+    zero (moments None) or at those of `moments`, a state as
+    `load_train_state` returns it."""
     names = list(params)
-    flat = np.zeros((3, sum(np.size(params[k]) for k in names)))
-    state = {"t": moments["t"] if moments else 0, "m": {}, "v": {}, "flat": flat}
+    flat = np.zeros((5, sum(np.size(params[k]) for k in names)))
+    state = {"t": moments["t"] if moments else 0, "m": {}, "v": {}, "g": {},
+             "flat": flat}
     start = 0
     for k in names:
         shape, size = np.shape(params[k]), np.size(params[k])
-        p, m, v = flat[:, start:start + size].reshape(3, *shape)
+        p, m, v, g, _ = flat[:, start:start + size].reshape(5, *shape)
         p[...] = params[k]
         if moments:
             m[...] = moments["m"][k]
             v[...] = moments["v"][k]
-        params[k], state["m"][k], state["v"][k] = p, m, v
+        params[k], state["m"][k], state["v"][k], state["g"][k] = p, m, v, g
         start += size
     return state
 
 
 def adam_step(grads, state, cfg):
     """Standard bias-corrected Adam update, in place, of the parameters
-    `adam_init` moved into its buffer; `grads` has one entry per parameter.
-    A non-finite gradient raises NonFiniteGradientError and updates nothing."""
-    g = np.concatenate([np.ravel(grads[k]) for k in state["m"]])
+    `adam_init` moved into its buffer; `grads` has one entry per parameter,
+    of its shape.  Each gradient is copied into the buffer's gradient row
+    and checked there: a non-finite one raises NonFiniteGradientError
+    before any parameter, moment or the step count changes.  The update
+    runs in the buffer's rows, operation for operation as the textbook
+    formula rounds."""
+    for k, row in state["g"].items():
+        row[...] = grads[k]
+    p, m, v, g, s = state["flat"]
     if not np.isfinite(g).all():
-        name = next(k for k in state["m"] if not np.isfinite(grads[k]).all())
+        name = next(k for k in state["g"] if not np.isfinite(grads[k]).all())
         raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
     state["t"] += 1
     t = state["t"]
-    p, m, v = state["flat"]
     m *= ADAM_B1
-    m += (1 - ADAM_B1) * g
+    m += np.multiply(1 - ADAM_B1, g, out=s)
     v *= ADAM_B2
-    v += (1 - ADAM_B2) * g * g
-    p -= cfg.lr * (m / (1 - ADAM_B1 ** t)) / (
-        np.sqrt(v / (1 - ADAM_B2 ** t)) + ADAM_EPS)
+    np.multiply(1 - ADAM_B2, g, out=s)
+    v += np.multiply(s, g, out=s)
+    # p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), g as scratch
+    np.multiply(cfg.lr, np.divide(m, 1 - ADAM_B1 ** t, out=s), out=s)
+    np.sqrt(np.divide(v, 1 - ADAM_B2 ** t, out=g), out=g)
+    g += ADAM_EPS
+    s /= g
+    p -= s
 
 
 @dataclass
@@ -168,13 +183,28 @@ class TrainReport:
     final_test_mse: float = float("nan")
     correlations: dict = field(default_factory=dict)
     wall_clock_sec: float = 0.0
+    phases: dict = field(default_factory=dict)   # seconds per phase, disjoint
     arrays: dict = field(default_factory=dict, repr=False)
+    # perf_counter() at creation: wall_clock_sec counts from here
+    started: float = field(default_factory=time.perf_counter, repr=False)
 
     def to_dict(self):
-        """JSON-safe summary; learned matrices are saved separately."""
+        """JSON-safe summary of what a rerun reproduces bit for bit; the
+        timings and the learned matrices are saved separately."""
         d = asdict(self)
-        d.pop("arrays")
+        for name in ("wall_clock_sec", "phases", "arrays", "started"):
+            d.pop(name)
         return d
+
+
+@contextlib.contextmanager
+def _phase(report, name):
+    """Add the seconds the block takes to report.phases[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.phases[name] = report.phases.get(name, 0.0) + time.perf_counter() - t0
 
 
 def gen_fixed_angle_dataset(task):
@@ -316,25 +346,33 @@ def _fit(report, state, opt, start_epoch, n, batch, evaluate):
     returns the test MSE.  Epochs run from `start_epoch` to `opt.epochs`,
     with the shuffle stream (task seed + 3) advanced past the skipped
     epochs so a resumed run matches the unbroken one.  Fills
-    `report.loss_curve` and `report.final_test_mse`.
+    `report.loss_curve` and `report.final_test_mse`, and times the
+    phases "train_steps" and "evaluation".
     """
     shuffle = SeededRng(report.seed + 3)
     for _ in range(start_epoch):
         shuffle.permutation(n)
     for epoch in range(start_epoch, opt.epochs):
-        perm = shuffle.permutation(n)
         total = 0.0
-        for start in range(0, n, opt.batch_size):
-            idx = perm[start:start + opt.batch_size]
-            batch_loss, grads = batch(idx)
-            if not math.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", report)
-            total += batch_loss * idx.size
-            adam_step(grads, state, opt)
-        report.loss_curve.append((epoch, total / n, evaluate()))
-    report.final_test_mse = (report.loss_curve[-1][2] if report.loss_curve
-                             else evaluate())
+        with _phase(report, "train_steps"):
+            perm = shuffle.permutation(n)
+            for start in range(0, n, opt.batch_size):
+                idx = perm[start:start + opt.batch_size]
+                batch_loss, grads = batch(idx)
+                if not math.isfinite(batch_loss):
+                    report.wall_clock_sec = time.perf_counter() - report.started
+                    raise TrainingDivergedError(
+                        f"loss became non-finite at epoch {epoch}", report)
+                total += batch_loss * idx.size
+                adam_step(grads, state, opt)
+        with _phase(report, "evaluation"):
+            test_mse = evaluate()
+        report.loss_curve.append((epoch, total / n, test_mse))
+    if report.loss_curve:
+        report.final_test_mse = report.loss_curve[-1][2]
+    else:
+        with _phase(report, "evaluation"):
+            report.final_test_mse = evaluate()
 
 
 def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
@@ -347,28 +385,34 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     before training, so a grid side below 3 or a training split the
     oracle cannot use (fewer samples than pixels) fails at once.
     """
-    t0 = time.perf_counter()
     _check_resume(resume, opt)
+    report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
     gt = sw_rotation_generator(task.width, task.height)
-    data = gen_fixed_angle_dataset(task)
+    with _phase(report, "data"):
+        data = gen_fixed_angle_dataset(task)
     x_train, y_train = data["x_train"], data["y_train"]
     x_test, y_test = data["x_test"], data["y_test"]
     d = task.d
-    r_ls = least_squares_solve(x_train, y_train)
+    with _phase(report, "ls_oracle"):
+        r_ls = least_squares_solve(x_train, y_train)
 
     params, state, start_epoch = _start(task, resume)
     layer = _shared_layer(params, _frozen(task))
 
+    x_rows, y_rows = x_train.T, y_train.T
+
     def batch(idx):
         # whole sample rows, copied once to store (B, d, 1) grid-major
-        fb = x_train.T.take(idx, axis=0).copy(order="F")[:, :, None]
-        yb = y_train.T.take(idx, axis=0).copy(order="F")[:, :, None]
+        fb = x_rows.take(idx, axis=0).copy(order="F")[:, :, None]
+        yb = y_rows.take(idx, axis=0).copy(order="F")[:, :, None]
         lf = []
         diff = layer.forward(fb, lf) - yb
-        grads = layer.backward(fb, 2.0 * diff / diff.size, lf=lf)
-        return float(np.sum(diff * diff) / diff.size), {"gen": grads.d_generators[0]}
+        # 2 diff / n, the gradient of the mean square, as diff / (n / 2):
+        # one rounding of the same exact quotient wherever 2 diff is finite;
+        # where it is not, neither is the loss, and _fit stops before a step
+        grads = layer.backward(fb, diff / (diff.size / 2), lf=lf)
+        return float((diff * diff).sum() / diff.size), {"gen": grads.d_generators[0]}
 
-    report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
     _fit(report, state, opt, start_epoch, x_train.shape[1], batch,
          lambda: _eval_linear(layer, x_test, y_test))
 
@@ -381,8 +425,9 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     }
     report.arrays = {"generator": learned.copy(), "ls_rotation": r_ls}
     if checkpoint_dir:
-        save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
-    report.wall_clock_sec = time.perf_counter() - t0
+        with _phase(report, "checkpoint"):
+            save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
+    report.wall_clock_sec = time.perf_counter() - report.started
     return report
 
 
@@ -485,10 +530,12 @@ def _angle_backward(params, layer, y, theta, pred, stash):
 
 def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
-    t0 = time.perf_counter()
     _check_resume(resume, opt)
+    report = TrainReport(kind="angle-regression", config=_echo(task, opt),
+                         seed=task.seed)
     gt = sw_rotation_generator(task.width, task.height)
-    data = gen_angle_pairs_dataset(task)
+    with _phase(report, "data"):
+        data = gen_angle_pairs_dataset(task)
     m, t = task.m_copies, task.recursions
     f_train, y_train = data["f_train"], data["y_train"]
     theta_train = data["theta_train"]
@@ -503,8 +550,6 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
         return (float(np.mean(diff * diff)),
                 _angle_backward(params, layer, yb, tb, pred, stash))
 
-    report = TrainReport(kind="angle-regression", config=_echo(task, opt),
-                         seed=task.seed)
     _fit(report, state, opt, start_epoch, theta_train.size, batch,
          lambda: _eval_angle(params, layer, data, t, m))
 
@@ -514,8 +559,9 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     report.arrays = {"generator": params["gen"].copy(),
                      "eps": params["eps"].copy()}
     if checkpoint_dir:
-        save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
-    report.wall_clock_sec = time.perf_counter() - t0
+        with _phase(report, "checkpoint"):
+            save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
+    report.wall_clock_sec = time.perf_counter() - report.started
     return report
 
 

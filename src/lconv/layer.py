@@ -31,7 +31,12 @@ Each product is computed once, and only when its result is read:
   f W0, (eps^i)^T W0 and upstream W0^T are skipped.  For finite inputs
   they return their other operand exactly (except that a -0.0 entry
   comes back +0.0), and (eps^i)^T is passed C-ordered, as the product
-  was, so the results keep their bits.
+  was, so the results keep their bits.  The check compares W0's bytes
+  with I's and counts its values only when they differ, so a W0 with
+  -0.0 off the diagonal is still I, and one holding a NaN is not.
+- eps = 1.  A scalar eps^i of exactly 1.0 skips its multiply of the
+  gradient into L_i f, and with W0 = I that of L_i f itself: 1.0 x is
+  x, bit for bit.
 - Lazy gradients.  `backward` forms only the generator gradients.
   `LayerGradients.d_eps`, `d_input` and `dW0` (with the sum A = f +
   sum_i (L_i f) (eps^i)^T it needs) are computed on first read, so a
@@ -41,6 +46,12 @@ Each product is computed once, and only when its result is read:
   and of the generators, and the gradient flowing into each L_i f that
   it formed anyway, so an optimizer may update the parameters in place
   before the first read.
+
+What a call checks and copies: `forward` and `backward` check that f
+ends in m_in channels with d grid points on axis -2, and `backward` that
+upstream has forward(f)'s shape; f and upstream are copied only when they
+are not float64 arrays stored grid-major.  `backward` copies the generators (and matrix
+eps) for its lazy gradients; nothing else is copied.
 
 Every product runs on the calling thread.  At d = 49 none is large enough
 to gain from a second BLAS thread, and a product that wakes OpenBLAS's
@@ -53,7 +64,7 @@ threading threshold; the training shapes are single blocks.
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,12 +72,26 @@ from .numerics import (DimensionError, FormatError, as_matrix, frobenius, matmul
                        read_matrix, write_matrix)
 
 
+@lru_cache
+def _eye_bytes(n):
+    return np.eye(n).tobytes()
+
+
 def _is_identity(w0):
     """True when the square matrix w0 is exactly I: n nonzeros, all on a
-    diagonal of ones."""
+    diagonal of ones.  Its bytes are compared with I's first; the values
+    are counted only when they differ, so a -0.0 off the diagonal still
+    counts and a NaN does not."""
     n = w0.shape[0]
-    return (w0.shape[1] == n and np.count_nonzero(w0) == n
-            and np.count_nonzero(w0.diagonal() == 1.0) == n)
+    return w0.shape[1] == n and (
+        w0.tobytes() == _eye_bytes(n)
+        or np.count_nonzero(w0) == n and np.count_nonzero(w0.diagonal() == 1.0) == n)
+
+
+def _times(e, a):
+    """e * a for a scalar e: a itself when e is 1.0, whose product is a,
+    bit for bit."""
+    return a if e == 1.0 else e * a
 
 
 @dataclass
@@ -175,7 +200,7 @@ class LConvLayer:
         """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
         e = self.eps[i]
         if identity:   # C-ordered, as the product with W0 would be
-            return e * lf if self.scalar_eps else matmul(lf, np.ascontiguousarray(e.T))
+            return _times(e, lf) if self.scalar_eps else matmul(lf, np.ascontiguousarray(e.T))
         return matmul(lf, e * self.w0 if self.scalar_eps else e.T @ self.w0)
 
     def forward(self, f, lf=None):
@@ -204,22 +229,22 @@ class LConvLayer:
         `upstream` is dLoss/dOutput with the same shape as forward(f); pass
         `lf`, the list `forward(f, lf)` filled, to reuse its L_i f.
         """
-        expected = np.shape(f)[:-1] + (self.m_out,)
         f = self._input(f)
-        if np.shape(upstream) != expected:
-            raise DimensionError(f"upstream has shape {np.shape(upstream)}, "
+        upstream = np.asarray(upstream, dtype=np.float64)
+        expected = f.swapaxes(0, -2).shape[:-1] + (self.m_out,)
+        if upstream.shape != expected:
+            raise DimensionError(f"upstream has shape {upstream.shape}, "
                                  f"forward(f) has {expected}")
         d = f.shape[0]
         grid, rows = f.reshape(d, -1), f.reshape(-1, self.m_in)
-        g = np.ascontiguousarray(np.swapaxes(upstream, 0, -2),
-                                 dtype=np.float64).reshape(-1, self.m_out)
+        g = np.ascontiguousarray(upstream.swapaxes(0, -2)).reshape(-1, self.m_out)
         identity = _is_identity(self.w0)
         if lf is None:
             lf = [matmul(gen, grid).reshape(rows.shape) for gen in self.generators]
         da = g if identity else g @ self.w0.T
         d_gens, dpres = [], []
         for e in self.eps:
-            dpre = (e * da if self.scalar_eps else da @ e).reshape(d, -1)
+            dpre = (_times(e, da) if self.scalar_eps else da @ e).reshape(d, -1)
             d_gens.append(dpre @ grid.T)         # dpre: gradient into L_i f
             dpres.append(dpre)
         return LayerGradients(

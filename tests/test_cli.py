@@ -163,6 +163,29 @@ class TestTrain:
         assert (tmp_path / "run" / "loss.csv").exists()
         assert (tmp_path / "run" / "generator.mat").exists()
 
+    @pytest.mark.parametrize("cfg, phases", [
+        (dict(FIXED, optimizer=OPT), {"data", "ls_oracle", "train_steps",
+                                      "evaluation", "checkpoint"}),
+        (ANGLE, {"data", "train_steps", "evaluation", "checkpoint"})],
+        ids=["fixed-angle", "angle-regression"])
+    def test_timing_holds_disjoint_phases(self, tmp_path, cfg, phases):
+        path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "run")))
+        assert run("train", "--config", path) == 0
+        timing = json.load(open(tmp_path / "run" / "timing.json"))
+        assert sorted(timing) == ["phase_sec", "wall_clock_sec"]
+        assert set(timing["phase_sec"]) == phases
+        assert all(s >= 0 for s in timing["phase_sec"].values())
+        assert sum(timing["phase_sec"].values()) <= timing["wall_clock_sec"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_run_exits_3_with_its_timing(self, tmp_path):
+        cfg = dict(FIXED, optimizer=dict(OPT, lr=1e300), out_dir=str(tmp_path / "run"))
+        assert run("train", "--config", write_cfg(tmp_path / "c.json", cfg)) == 3
+        timing = json.load(open(tmp_path / "run" / "timing.json"))
+        assert set(timing["phase_sec"]) == {"data", "ls_oracle", "train_steps"}
+        assert 0 < sum(timing["phase_sec"].values()) <= timing["wall_clock_sec"]
+        assert json.load(open(tmp_path / "run" / "report.json"))["loss_curve"] == []
+
     @pytest.mark.parametrize("cfg", [dict(FIXED, n_train=20, optimizer=OPT),
                                      dict(ANGLE, width=2)],
                              ids=["oracle-needs-d-samples", "generator-needs-side-3"])

@@ -41,13 +41,21 @@ class TestOptimizers:
         assert params["p"][0, 0] == pytest.approx(expected, abs=1e-6)
 
     def test_nonfinite_gradient_rejected(self):
-        params = {"a": np.array([[1.0]]), "p": np.array([[1.0]])}
+        # after a finite step the moments are nonzero; a NaN gradient must
+        # leave parameters, moments and step count exactly as they were
+        params = {"a": np.array([[1.0]]), "p": np.array([[1.0, -2.0]])}
         state = adam_init(params, None)
+        cfg = OptimizerConfig()
+        adam_step({"a": np.array([[0.5]]), "p": np.array([[-1.0, 3.0]])}, state, cfg)
+        before = {k: [a[k].tobytes() for a in (params, state["m"], state["v"])]
+                  for k in params}
+        assert all(np.all(state[m][k] != 0) for m in ("m", "v") for k in params)
         with pytest.raises(NonFiniteGradientError, match="'p'"):
-            adam_step({"a": np.array([[1.0]]), "p": np.array([[np.nan]])}, state,
-                      OptimizerConfig())
-        assert params["a"][0, 0] == 1.0 and params["p"][0, 0] == 1.0
-        assert state["t"] == 0
+            adam_step({"a": np.array([[7.0]]), "p": np.array([[5.0, np.nan]])},
+                      state, cfg)
+        assert before == {k: [a[k].tobytes() for a in (params, state["m"], state["v"])]
+                          for k in params}
+        assert state["t"] == 1
 
     def test_one_buffer_adam_matches_per_parameter_update(self, tmp_path):
         # 50 steps, with a checkpoint and resume after 20, against the
@@ -203,6 +211,15 @@ class TestTrainingBitsPinned:
             "e2591a8e61e2bd452fd3811bebd05aca3a6fe21fd7958fc2482c39cfe6c0fe07")
         assert sha256(np.array(rep.loss_curve)) == (
             "b3de9e17a236f0cf3d3b1042edddacbc0c60f7f55c0f1035515c802b5573b669")
+
+    def test_fixed_angle_batch_64_ragged(self):
+        # the benchmark's batch size, with a last batch of 200 - 3 * 64 = 8
+        rep = train_fixed_angle(FixedAngleTask(n_train=200, n_test=100, seed=1),
+                                OptimizerConfig(lr=1e-2, batch_size=64, epochs=6))
+        assert sha256(rep.arrays["generator"]) == (
+            "8208dd4b56780be8ef7d1fc3b552e2af0116e296c08bc4dd6071cf6f4d516ae1")
+        assert sha256(np.array(rep.loss_curve)) == (
+            "aa22eff9249b070c3e4dd4395b445e623e7b5e3064d917d4f5b7ee783e6e65e7")
 
     def test_angle_regression(self):
         rep = train_angle_regression(

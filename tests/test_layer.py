@@ -376,6 +376,19 @@ class TestEachProductOnce:
             assert np.array_equal(a, b)
         assert np.array_equal(g.d_input, d_input)
 
+    @pytest.mark.parametrize("w0", [np.eye(1), np.array([[0.7]])], ids=["W0=I", "W0"])
+    def test_unit_scalar_eps_matches_explicit_products(self, w0):
+        # a scalar eps of exactly 1.0 skips its multiplies, with the bits
+        # of the products it skips
+        rng = SeededRng(46)
+        layer = LConvLayer(w0, [1.0], [rng.uniform_signed(0.6, (7, 7))])
+        f, up = (rng.uniform_signed(0.7, (4, 7, 1)) for _ in range(2))
+        assert np.array_equal(layer.forward(f), explicit_forward(layer, f))
+        g = layer.backward(f, up)
+        dw0, d_eps, d_gens, d_input = explicit_backward(layer, f, up)
+        for a, b in zip(grad_arrays(g), [dw0, np.asarray(d_eps), *d_gens, d_input]):
+            assert np.array_equal(a, b)
+
     def test_w0_mutation_and_replacement_take_effect(self):
         rng = SeededRng(41)
         layer = LConvLayer(np.eye(3), [rng.uniform(3, 3)], [rng.uniform(6, 6)])
@@ -391,6 +404,32 @@ class TestEachProductOnce:
             assert np.array_equal(din, explicit_backward(layer, f, up)[3])
         layer.w0 = np.eye(3)
         assert np.array_equal(layer.forward(f), base)
+
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar-eps", "matrix-eps"])
+    @np.errstate(invalid="ignore")
+    def test_identity_w0_is_told_by_value(self, scalar):
+        # a W0 equal to I but with -0.0 off the diagonal takes the skipped
+        # products: with an inf in f and in upstream, the products with it
+        # would put NaN (inf * 0) beside each inf
+        rng = SeededRng(45)
+        d, m = 5, 3
+        eps = [0.4 if scalar else rng.uniform(m, m)]
+        gens = [rng.uniform(d, d)]
+        f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
+        f[1, 2, 0] = up[2, 4, 1] = np.inf
+        signed = np.eye(m)
+        signed[0, 1] = signed[2, 0] = -0.0
+        eye, layer = LConvLayer(np.eye(m), eps, gens), LConvLayer(signed, eps, gens)
+        out = layer.forward(f)
+        assert out.tobytes() == eye.forward(f).tobytes()
+        assert not np.array_equal(out, explicit_forward(layer, f), equal_nan=True)
+        d_input = layer.backward(f, up).d_input
+        assert d_input.tobytes() == eye.backward(f, up).d_input.tobytes()
+        assert not np.array_equal(d_input, explicit_backward(layer, f, up)[3],
+                                  equal_nan=True)
+        # a NaN off the diagonal is no identity: the products run and carry it
+        layer.w0[1, 2] = np.nan
+        assert np.isnan(layer.forward(rng.uniform(15, m).reshape(3, d, m))).any()
 
     @pytest.mark.parametrize("trial", range(6))
     def test_identity_w0_gradients_match_finite_differences(self, trial):
