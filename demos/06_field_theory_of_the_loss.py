@@ -19,7 +19,7 @@ from lconv.numerics import SeededRng
 rng = SeededRng(3)
 d, m = 24, 2
 gen = sw_shift_generator(d)
-layer = LConvLayer(rng.uniform_signed(0.8, (m, m)), [0.31], [gen])
+layer = LConvLayer(rng.uniform_signed(0.8, (m, m)), [0.31 * np.eye(m)], [gen])
 phi = rng.uniform(d, m)   # the field, one row per point of the ring
 terms = field_terms(layer)
 

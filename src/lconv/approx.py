@@ -16,14 +16,15 @@ annihilated by every circulant generator, so exp(z L) matches g(z) only
 when cos(pi z) = 1.
 
 An exactly circulant generator is diagonal in the DFT basis (the SW one
-with Nyquist eigenvalue 0), so its step product is powered mode by mode.
+with Nyquist eigenvalue 0), so its step product is powered mode by mode;
+no other generator is accepted.
 """
 
 import numpy as np
 
 from .groups import _circulant, sw_shift_generator, sw_shift_matrix
-from .numerics import (DimensionError, as_matrix, check_value, cosine_correlation,
-                       frobenius)
+from .numerics import (DegenerateInputError, DimensionError, as_matrix, check_value,
+                       cosine_correlation, frobenius)
 
 
 def gconv_reference(f, anchors, weights):
@@ -53,22 +54,23 @@ def approx_group_element(gen, z, n):
     """(I + (z/n) L)^n as a d x d array: n near-identity steps along the
     d x d generator L.
 
-    An exactly circulant L (bit-equal to its diagonal shift) has the DFT
-    eigenvalues lam = fft(L[:, 0]), so this is the circulant I + ifft((1 +
-    (z/n) lam)^n - 1), in O(d^2) and exactly I at z = 0.  Any other L, even
-    one bit off circulant, is powered densely by matrix_power.
+    L must be exactly circulant (bit-equal to its diagonal shift).  Its DFT
+    eigenvalues are then lam = fft(L[:, 0]), so this is the circulant
+    I + ifft((1 + (z/n) lam)^n - 1), in O(d^2) and exactly I at z = 0.  Any
+    other L, even one bit off circulant, raises DegenerateInputError.
     """
     check_value("step count n", n, int)
     if n < 1:
         raise DimensionError("need at least one step")
     l = as_matrix(gen)
-    if (l.shape == (len(l), len(l))
-            and np.array_equal(np.roll(l, (1, 1), axis=(0, 1)), l)):
-        lam = np.fft.fft(l[:, 0])
-        band = np.fft.ifft((1.0 + (float(z) / n) * lam) ** n - 1.0).real
-        band[0] += 1.0
-        return _circulant(band)
-    return np.linalg.matrix_power(np.eye(l.shape[0]) + (float(z) / n) * l, n)
+    if (l.shape != (len(l), len(l))
+            or not np.array_equal(np.roll(l, (1, 1), axis=(0, 1)), l)):
+        raise DegenerateInputError(f"the {l.shape[0]} x {l.shape[1]} generator is not "
+                                   "exactly circulant")
+    lam = np.fft.fft(l[:, 0])
+    band = np.fft.ifft((1.0 + (float(z) / n) * lam) ** n - 1.0).real
+    band[0] += 1.0
+    return _circulant(band)
 
 
 def circular_convolve(f, taps):

@@ -264,7 +264,7 @@ def cmd_theory(cfg, args):
     worst = 0.0
     for _ in range(values["instances"]):
         layer = LConvLayer(rng.uniform_signed(0.8, (m, m)),
-                           [float(rng.uniform_signed(0.4, ()))], [gen])
+                           [rng.uniform_signed(0.4, ()) * np.eye(m)], [gen])
         phi = rng.uniform(d, m)
         terms = field_terms(layer)
         direct = mse_loss_direct(phi, layer)

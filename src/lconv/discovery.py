@@ -250,20 +250,19 @@ def save_train_state(directory, layer, params, state, next_epoch):
 
 
 def _frozen(task):
-    """The layer values each pipeline holds fixed: W0 = 1 and the scalar
-    eps 1 on the single fixed-angle channel, W0 = I_m over the m
-    angle-regression copies (whose eps is trained)."""
+    """The layer values each pipeline holds fixed: W0 = eps = I_1 on the
+    single fixed-angle channel, W0 = I_m over the m angle-regression
+    copies (whose eps is trained)."""
     if isinstance(task, FixedAngleTask):
-        return {"w0": np.array([[1.0]]), "eps": 1.0}
+        return {"w0": np.eye(1), "eps": np.eye(1)}
     return {"w0": np.eye(task.m_copies)}
 
 
 def _check_frozen(task, layer, directory):
     """Raise FormatError unless checkpoint `directory`'s layer holds the
     values `task` freezes, as the layer trained and saved for it did."""
-    frozen = _frozen(task)
-    eps_ok = "eps" not in frozen or layer.scalar_eps and layer.eps == [frozen["eps"]]
-    if not (eps_ok and np.array_equal(layer.w0, frozen["w0"])):
+    held = {"w0": layer.w0, "eps": layer.eps[0]}
+    if not all(np.array_equal(held[k], v) for k, v in _frozen(task).items()):
         raise FormatError(f"{directory}: W0.mat or eps_0.mat differs from the "
                           "value the task holds frozen")
 
@@ -288,8 +287,7 @@ def load_train_state(task, directory):
         raise FormatError(f"{directory}: manifest extra needs integers epoch, adam_t >= 0")
     like = _init_params(task)
     head = [k for k in like if k not in ("gen", "eps")]
-    if (layer.n_generators != 1 or layer.scalar_eps == ("eps" in like)
-            or extra.get("head", []) != head):
+    if layer.n_generators != 1 or extra.get("head", []) != head:
         raise LconvError(f"{directory} holds no checkpoint of the "
                          f"{type(task).__name__} model")
     _check_frozen(task, layer, directory)
@@ -327,13 +325,12 @@ def _start(task, resume):
 
 def _shared_layer(params, frozen):
     """The layer trained through `params`, with `_frozen` values `frozen`:
-    it holds params["gen"] (and params["eps"] when eps is trained) itself,
-    as Adam updates them in place; a copy would freeze them."""
-    scalar = "eps" in frozen
-    layer = LConvLayer(frozen["w0"], [frozen["eps"] if scalar else params["eps"]],
-                       [params["gen"]])
-    if (layer.generators[0] is not params["gen"]
-            or not (scalar or layer.eps[0] is params["eps"])):
+    it holds params["gen"] and eps (trained in `params` or frozen)
+    themselves, as Adam updates the trained ones in place; a copy would
+    freeze them."""
+    values = {**params, **frozen}
+    layer = LConvLayer(values["w0"], [values["eps"]], [values["gen"]])
+    if layer.generators[0] is not values["gen"] or layer.eps[0] is not values["eps"]:
         raise RuntimeError("layer copied a trained parameter instead of sharing it")
     return layer
 

@@ -12,14 +12,14 @@ as  mass  sum_x Phi^T m2 Phi
   + kinetic sum_x (L_i Phi)^T H^ij (L_j Phi)
   + a cross term 2 sum_x Phi^T v^i (L_i Phi).
 
-When the v^i are symmetric (scalar eps, or a single channel) the cross
-term is the discrete divergence of the scalar field s_i = Phi^T v^i Phi
-and telescopes to zero on a periodic grid under any zero-column-sum
-skew derivative operator; `mse_loss_decomposed` uses that divergence form
-for its third term, so direct and decomposed losses agree exactly in that
-regime.  For a general matrix eps the product rule picks up the
-antisymmetric part of v^i, and direct minus decomposed is exactly
-2 sum_i <skew(v^i), Phi^T L_i Phi>.
+When the v^i are symmetric (each eps^i a multiple of I, or a single
+channel) the cross term is the discrete divergence of the scalar field
+s_i = Phi^T v^i Phi and telescopes to zero on a periodic grid under any
+zero-column-sum skew derivative operator; `mse_loss_decomposed` uses
+that divergence form for its third term, so direct and decomposed
+losses agree exactly in that regime.  For a general matrix eps the
+product rule picks up the antisymmetric part of v^i, and direct minus
+decomposed is exactly 2 sum_i <skew(v^i), Phi^T L_i Phi>.
 
 The loss functions take the field itself, a (d, m) array with one row
 per point of the periodic grid the generators act on.
@@ -51,11 +51,10 @@ class FieldTheoryTerms:
 def field_terms(layer):
     """Aggregate (m2, H, v) for a layer's parameters."""
     m2 = layer.w0 @ layer.w0.T
-    eps = [e * np.eye(layer.m_in) if layer.scalar_eps else e for e in layer.eps]
     return FieldTheoryTerms(
         m2=m2,
-        channel_metric=[[ei.T @ m2 @ ej for ej in eps] for ei in eps],
-        v=[m2 @ ei for ei in eps],
+        channel_metric=[[ei.T @ m2 @ ej for ej in layer.eps] for ei in layer.eps],
+        v=[m2 @ ei for ei in layer.eps],
     )
 
 

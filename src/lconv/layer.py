@@ -1,9 +1,8 @@
 """The L-conv layer: forward map, analytic gradients, and structure checks.
 
 A layer holds a channel mixer W0 (m_in x m_out), per-generator channel
-couplings eps^i (m_in x m_in matrices, or all plain scalars, which puts
-the layer in scalar mode) and n_L >= 1 generators L_i (d x d float64
-arrays).  The forward map is
+couplings eps^i (m_in x m_in matrices; a scalar coupling e is e I) and
+n_L >= 1 generators L_i (d x d float64 arrays).  The forward map is
 
     Q[f] = f W0 + sum_i (L_i f) (eps^i)^T W0
 
@@ -26,17 +25,17 @@ Each product is computed once, and only when its result is read:
   generators uses them instead of recomputing them.  The stash is the
   caller's list, not layer state: a caller that keeps none (evaluation)
   holds no extra memory, and backward without `lf` recomputes.
-- W0 = I.  When W0 is the identity (checked from `w0` itself on every
-  call, so assigning or mutating it takes effect at once), the products
-  f W0, (eps^i)^T W0 and upstream W0^T are skipped.  For finite inputs
-  they return their other operand exactly (except that a -0.0 entry
-  comes back +0.0), and (eps^i)^T is passed C-ordered, as the product
-  was, so the results keep their bits.  The check compares W0's bytes
-  with I's and counts its values only when they differ, so a W0 with
-  -0.0 off the diagonal is still I, and one holding a NaN is not.
-- eps = 1.  A scalar eps^i of exactly 1.0 skips its multiply of the
-  gradient into L_i f, and with W0 = I that of L_i f itself: 1.0 x is
-  x, bit for bit.
+- Identity parameters.  A product with W0 or eps^i is skipped when that
+  matrix is the identity, checked from the matrix itself on every call,
+  so assigning or mutating it takes effect at once.  W0 = I skips f W0,
+  (eps^i)^T W0 and upstream W0^T.  eps^i = I skips (upstream W0^T) eps^i,
+  the gradient into L_i f, and with W0 = I also (L_i f) (eps^i)^T.  For
+  finite inputs these products return their other operand exactly
+  (except that a -0.0 entry comes back +0.0), and (eps^i)^T is passed
+  C-ordered, as the product was, so the results keep their bits.  The
+  check compares the matrix's bytes with I's and counts its values only
+  when they differ, so a matrix with -0.0 off the diagonal is still I,
+  and one holding a NaN is not.
 - Lazy gradients.  `backward` forms only the generator gradients.
   `LayerGradients.d_eps`, `d_input` and `dW0` (with the sum A = f +
   sum_i (L_i f) (eps^i)^T it needs) are computed on first read, so a
@@ -50,8 +49,8 @@ Each product is computed once, and only when its result is read:
 What a call checks and copies: `forward` and `backward` check that f
 ends in m_in channels with d grid points on axis -2, and `backward` that
 upstream has forward(f)'s shape; f and upstream are copied only when they
-are not float64 arrays stored grid-major.  `backward` copies the generators (and matrix
-eps) for its lazy gradients; nothing else is copied.
+are not float64 arrays stored grid-major.  `backward` copies the generators
+and eps for its lazy gradients; nothing else is copied.
 
 Every product runs on the calling thread.  At d = 49 none is large enough
 to gain from a second BLAS thread, and a product that wakes OpenBLAS's
@@ -77,21 +76,15 @@ def _eye_bytes(n):
     return np.eye(n).tobytes()
 
 
-def _is_identity(w0):
-    """True when the square matrix w0 is exactly I: n nonzeros, all on a
-    diagonal of ones.  Its bytes are compared with I's first; the values
+def _is_identity(a):
+    """True when the matrix a is exactly I: square, with n nonzeros, all on
+    a diagonal of ones.  Its bytes are compared with I's first; the values
     are counted only when they differ, so a -0.0 off the diagonal still
     counts and a NaN does not."""
-    n = w0.shape[0]
-    return w0.shape[1] == n and (
-        w0.tobytes() == _eye_bytes(n)
-        or np.count_nonzero(w0) == n and np.count_nonzero(w0.diagonal() == 1.0) == n)
-
-
-def _times(e, a):
-    """e * a for a scalar e: a itself when e is 1.0, whose product is a,
-    bit for bit."""
-    return a if e == 1.0 else e * a
+    n = a.shape[0]
+    return a.shape[1] == n and (
+        a.tobytes() == _eye_bytes(n)
+        or np.count_nonzero(a) == n and np.count_nonzero(a.diagonal() == 1.0) == n)
 
 
 @dataclass
@@ -107,16 +100,13 @@ class LayerGradients:
     _da: np.ndarray = field(repr=False)         # upstream W0^T
     _lf: list = field(repr=False)               # (d B, m_in) rows of L_i f
     _dpre: list = field(repr=False)             # gradient into L_i f, (d, B m_in)
-    _scalar: bool = field(repr=False)           # the layer's scalar_eps
     _eps: list = field(repr=False)
     _generators: list = field(repr=False)
 
     @cached_property
     def d_eps(self):
-        """One entry per generator: a float in scalar mode, else m_in x m_in
-        (forward used eps^T, so this is the transpose of its gradient)."""
-        if self._scalar:
-            return [float(np.sum(lfi * self._da)) for lfi in self._lf]
+        """One m_in x m_in matrix per generator (forward used eps^T, so this
+        is the transpose of its gradient)."""
         return [self._da.T @ lfi for lfi in self._lf]
 
     @cached_property
@@ -133,30 +123,31 @@ class LayerGradients:
         """Gradient w.r.t. W0: out = A W0 with A = f + sum_i (L_i f) E_i."""
         a = self._f.reshape(-1, self._f.shape[-1])
         for lfi, e in zip(self._lf, self._eps):
-            a = a + (e * lfi if self._scalar else lfi @ e.T)
+            a = a + lfi @ e.T
         return a.T @ self._upstream
 
 
 class LConvLayer:
     """Parameter container + forward/backward for one L-conv layer."""
 
+    # Read only by the benchmark's flop count (bench/spans._layer_flops);
+    # it goes when that count stops reading it.
+    scalar_eps = False
+
     def __init__(self, w0, eps, generators):
-        """Scalar mode when every eps is 0-d; generators are held as given
-        when they are float64 matrices, so updates in place reach the
-        layer."""
+        """eps and generators are held as given when they are float64
+        matrices, so updates in place reach the layer."""
         self.w0 = as_matrix(w0)
-        self.scalar_eps = all(np.ndim(e) == 0 for e in eps)
-        self.eps = [float(e) for e in eps] if self.scalar_eps else [as_matrix(e) for e in eps]
+        self.eps = [as_matrix(e) for e in eps]
         self.generators = [as_matrix(g) for g in generators]
         self._check_shapes()
 
     def _check_shapes(self):
         m_in = self.w0.shape[0]
-        if not self.scalar_eps:
-            for i, e in enumerate(self.eps):
-                if e.shape != (m_in, m_in):
-                    raise DimensionError(
-                        f"eps[{i}] has shape {e.shape}, expected ({m_in}, {m_in})")
+        for i, e in enumerate(self.eps):
+            if e.shape != (m_in, m_in):
+                raise DimensionError(
+                    f"eps[{i}] has shape {e.shape}, expected ({m_in}, {m_in})")
         if len(self.eps) != len(self.generators):
             raise DimensionError(
                 f"{len(self.eps)} eps blocks vs {len(self.generators)} generators")
@@ -200,8 +191,8 @@ class LConvLayer:
         """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
         e = self.eps[i]
         if identity:   # C-ordered, as the product with W0 would be
-            return _times(e, lf) if self.scalar_eps else matmul(lf, np.ascontiguousarray(e.T))
-        return matmul(lf, e * self.w0 if self.scalar_eps else e.T @ self.w0)
+            return lf if _is_identity(e) else matmul(lf, np.ascontiguousarray(e.T))
+        return matmul(lf, e.T @ self.w0)
 
     def forward(self, f, lf=None):
         """Apply the layer to f of shape (*batch, d, m_in); returns
@@ -244,13 +235,12 @@ class LConvLayer:
         da = g if identity else g @ self.w0.T
         d_gens, dpres = [], []
         for e in self.eps:
-            dpre = (_times(e, da) if self.scalar_eps else da @ e).reshape(d, -1)
+            dpre = (da if _is_identity(e) else da @ e).reshape(d, -1)
             d_gens.append(dpre @ grid.T)         # dpre: gradient into L_i f
             dpres.append(dpre)
         return LayerGradients(
             d_generators=d_gens, _f=f, _upstream=g, _da=da, _lf=lf, _dpre=dpres,
-            _scalar=self.scalar_eps,
-            _eps=[e if self.scalar_eps else e.copy() for e in self.eps],
+            _eps=[e.copy() for e in self.eps],
             _generators=[gen.copy(order="K") for gen in self.generators])
 
 
@@ -298,17 +288,15 @@ def save_checkpoint(layer, directory, extra):
     os.makedirs(directory, exist_ok=True)
     write_matrix(os.path.join(directory, "W0.mat"), layer.w0)
     for i, (e, g) in enumerate(zip(layer.eps, layer.generators)):
-        write_matrix(os.path.join(directory, f"eps_{i}.mat"),
-                     np.array([[e]]) if layer.scalar_eps else e)
+        write_matrix(os.path.join(directory, f"eps_{i}.mat"), e)
         write_matrix(os.path.join(directory, f"gen_{i}.mat"), g)
-    manifest = {"scalar_eps": layer.scalar_eps,
-                "generators": [{"form": "dense"}] * layer.n_generators,
+    manifest = {"generators": [{"form": "dense"}] * layer.n_generators,
                 "extra": extra}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-_MANIFEST_TYPES = {"extra": dict, "generators": list, "scalar_eps": bool}
+_MANIFEST_TYPES = {"extra": dict, "generators": list}
 
 
 def _read_manifest(directory):
@@ -343,10 +331,6 @@ def load_checkpoint(directory):
     eps = []
     gens = []
     for i in range(len(manifest["generators"])):
-        path = os.path.join(directory, f"eps_{i}.mat")
-        e = read_matrix(path)
-        if manifest["scalar_eps"] and e.shape != (1, 1):
-            raise FormatError(f"{path} holds a {e.shape} matrix, not a scalar eps")
-        eps.append(float(e[0, 0]) if manifest["scalar_eps"] else e)
+        eps.append(read_matrix(os.path.join(directory, f"eps_{i}.mat")))
         gens.append(read_matrix(os.path.join(directory, f"gen_{i}.mat")))
     return LConvLayer(w0, eps, gens), manifest

@@ -281,12 +281,12 @@ class TestCriterion09LossDecomposition:
         worst_div = 0.0
         for i in range(10):
             if i % 2 == 0:
-                # periodic ring, scalar eps, multichannel
+                # periodic ring, eps a multiple of I, multichannel
                 d = 2 * int(rng.integers(4, 17))
                 m = int(rng.integers(1, 4))
                 gens = [sw_shift_generator(d)]
                 layer = LConvLayer(rng.uniform_signed(0.9, (m, m)),
-                                   [float(rng.uniform_signed(0.5, ()))],
+                                   [rng.uniform_signed(0.5, ()) * np.eye(m)],
                                    gens)
                 phi = rng.uniform(d, m)
             else:
@@ -296,8 +296,8 @@ class TestCriterion09LossDecomposition:
                         np.kron(sw_shift_generator(h), np.eye(w))]
                 m = int(rng.integers(1, 3))
                 layer = LConvLayer(rng.uniform_signed(0.9, (m, m)),
-                                   [float(rng.uniform_signed(0.4, ())),
-                                    float(rng.uniform_signed(0.4, ()))],
+                                   [rng.uniform_signed(0.4, ()) * np.eye(m),
+                                    rng.uniform_signed(0.4, ()) * np.eye(m)],
                                    gens)
                 phi = rng.uniform(w * h, m)
             terms = field_terms(layer)

@@ -138,12 +138,13 @@ class TestCirculantPower:
         SeededRng(47).uniform(10, 10),
         _low_rank(),
         _one_ulp_off_sw(),
+        np.ones((4, 8)),
     ], ids=["sw-rotation-generator 7x7", "random dense", "low rank",
-            "sw one ulp off"])
-    def test_other_generators_bit_identical_to_dense_power(self, gen):
+            "sw one ulp off", "constant 4x8"])
+    def test_other_generators_rejected(self, gen):
         for z, n in ((2.0, 5), (-2.3, 64)):
-            assert np.array_equal(approx_group_element(gen, z, n),
-                                  dense_power(gen, z, n))
+            with pytest.raises(DegenerateInputError, match="not exactly circulant"):
+                approx_group_element(gen, z, n)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_step_count_must_be_an_integer(self, n):
@@ -163,13 +164,13 @@ class TestCirculantPower:
         with pytest.raises(DegenerateInputError):
             approx_group_element(gen, 2.0, 4)
         with pytest.raises(DegenerateInputError):
-            LConvLayer(np.eye(1), [1.0], [gen])
+            LConvLayer(np.eye(1), [np.eye(1)], [gen])
 
 
 def stack_transport(gen, eps, n):
-    """The matrix that n W0 = I layers with scalar eps apply to f: column
-    b is the stack applied to the unit image e_b."""
-    layer = LConvLayer(np.eye(1), [eps], [gen])
+    """The matrix that n W0 = I layers with the 1 x 1 eps [[eps]] apply to
+    f: column b is the stack applied to the unit image e_b."""
+    layer = LConvLayer(np.eye(1), [np.array([[eps]])], [gen])
     f = np.eye(len(gen))[:, :, None]
     for _ in range(n):
         f = layer.forward(f)

@@ -236,7 +236,7 @@ class TestTrain:
         assert run("train", "--config", self._train_cfg(tmp_path, "run")) == 0
         ckpt = tmp_path / "run" / "checkpoint"
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert set(manifest) == {"scalar_eps", "generators", "extra"}
+        assert set(manifest) == {"generators", "extra"}
         assert sorted(os.listdir(ckpt)) == ["W0.mat", "adam_m_gen.mat", "adam_v_gen.mat",
                                             "eps_0.mat", "gen_0.mat", "manifest.json"]
 
@@ -351,7 +351,7 @@ class TestEval:
 MANIFEST_EDITS = {
     "not-json": lambda m: json.dumps(m)[:-1],
     "missing-key": lambda m: json.dumps({k: v for k, v in m.items() if k != "generators"}),
-    "wrong-type": lambda m: json.dumps(dict(m, scalar_eps="yes")),
+    "wrong-type": lambda m: json.dumps(dict(m, extra="yes")),
     "unknown-form": lambda m: json.dumps(
         dict(m, generators=[dict(m["generators"][0], form="sparse")])),
     "tanh-head": lambda m: json.dumps(dict(m, has_bias=True)),
@@ -364,6 +364,7 @@ MANIFEST_EDITS = {
     "legacy-train-flags": lambda m: json.dumps(
         dict(m, train_w0=False, train_eps=False, train_generators=True)),
     "residual-flags": lambda m: json.dumps(dict(m, has_bias=False, include_residual=True)),
+    "scalar-eps-key": lambda m: json.dumps(dict(m, scalar_eps=True)),
     "no-generators": lambda m: json.dumps(dict(m, generators=[])),
     "no-epoch": lambda m: json.dumps(
         dict(m, extra={k: v for k, v in m["extra"].items() if k != "epoch"})),
@@ -391,6 +392,7 @@ CHECKPOINT_EDITS = {
         dict(m, extra=dict(m["extra"], head=5)))), FIXED),
     "adam-t-negative": ("run", _rewrite_manifest(lambda m: json.dumps(
         dict(m, extra=dict(m["extra"], adam_t=-1)))), FIXED),
+    # the fixed-angle model's 1 x 1 eps replaced by a 0 x 3 matrix
     "scalar-eps-0x3": ("run", _overwrite("eps_0.mat", (0, 3)), FIXED),
     "generator-48x48": ("run", _overwrite("gen_0.mat", (48, 48)), FIXED),
     "generator-49x3": ("run", _overwrite("gen_0.mat", (49, 3)), FIXED),

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -199,38 +202,62 @@ class TestFixedAngleDataset:
             "ea13f6534f8382c7d43ccfb05b2d40c56921f5509cecedd651ac9b8e8b06c64f")
 
 
+def host_kernels():
+    """The OpenBLAS core that numpy's bundled OpenBLAS picked and numpy's
+    enabled SIMD groups, whose summation orders the last bits of a pinned
+    hash follow."""
+    from numpy._core import _multiarray_umath as umath
+    groups = [g for g in umath.__cpu_baseline__ + umath.__cpu_dispatch__
+              if umath.__cpu_features__.get(g)]
+    core = "unknown"
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    if libs:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"OpenBLAS core {core}, numpy SIMD groups {' '.join(groups)}"
+
+
 class TestTrainingBitsPinned:
     # SHA-256 of what two short runs learn and of their loss curves, with
     # grid-major activations; any change to the rounding of the hot path
-    # or the evaluation changes them
+    # or the evaluation changes them.  They were recorded under OpenBLAS
+    # core SkylakeX with numpy SIMD groups X86_V2 to AVX512_SPR; a failure
+    # names the core and groups of the host it ran on
     def test_fixed_angle(self):
         # 1000 test samples: the evaluation sums over many columns at once
         rep = train_fixed_angle(FixedAngleTask(n_train=640, n_test=1000, seed=0),
                                 OptimizerConfig(lr=1e-2, batch_size=16, epochs=5))
         assert sha256(rep.arrays["generator"]) == (
-            "e2591a8e61e2bd452fd3811bebd05aca3a6fe21fd7958fc2482c39cfe6c0fe07")
+            "e2591a8e61e2bd452fd3811bebd05aca3a6fe21fd7958fc2482c39cfe6c0fe07"), host_kernels()
         assert sha256(np.array(rep.loss_curve)) == (
-            "b3de9e17a236f0cf3d3b1042edddacbc0c60f7f55c0f1035515c802b5573b669")
+            "b3de9e17a236f0cf3d3b1042edddacbc0c60f7f55c0f1035515c802b5573b669"), host_kernels()
 
     def test_fixed_angle_batch_64_ragged(self):
         # the benchmark's batch size, with a last batch of 200 - 3 * 64 = 8
         rep = train_fixed_angle(FixedAngleTask(n_train=200, n_test=100, seed=1),
                                 OptimizerConfig(lr=1e-2, batch_size=64, epochs=6))
         assert sha256(rep.arrays["generator"]) == (
-            "8208dd4b56780be8ef7d1fc3b552e2af0116e296c08bc4dd6071cf6f4d516ae1")
+            "8208dd4b56780be8ef7d1fc3b552e2af0116e296c08bc4dd6071cf6f4d516ae1"), host_kernels()
         assert sha256(np.array(rep.loss_curve)) == (
-            "aa22eff9249b070c3e4dd4395b445e623e7b5e3064d917d4f5b7ee783e6e65e7")
+            "aa22eff9249b070c3e4dd4395b445e623e7b5e3064d917d4f5b7ee783e6e65e7"), host_kernels()
 
     def test_angle_regression(self):
         rep = train_angle_regression(
             AngleRegressionTask(n_train=480, n_test=64, seed=0),
             OptimizerConfig(lr=1e-3, batch_size=16, epochs=10))
         assert sha256(rep.arrays["generator"]) == (
-            "8b10cfd54e85f2424b6ebb2d685378d18688b0a8a89186976f91bdfbcb321399")
+            "8b10cfd54e85f2424b6ebb2d685378d18688b0a8a89186976f91bdfbcb321399"), host_kernels()
         assert sha256(rep.arrays["eps"]) == (
-            "54791773d4318bb9f535036f73cdac553898060740ed798e6e8423bf1dec6ea6")
+            "54791773d4318bb9f535036f73cdac553898060740ed798e6e8423bf1dec6ea6"), host_kernels()
         assert sha256(np.array(rep.loss_curve)) == (
-            "ef3775a1b538da534e6f24849d2d81762f4b0039bcc11668a6b44e692465857d")
+            "ef3775a1b538da534e6f24849d2d81762f4b0039bcc11668a6b44e692465857d"), host_kernels()
+
+    def test_host_kernels_are_named(self):
+        # a failed pin's message is formed only then, so form it here once
+        assert host_kernels().startswith("OpenBLAS core ")
 
 
 class TestAnglePairsDataset:
@@ -366,10 +393,11 @@ class TestSharedLayer:
         params = {"gen": rng.uniform(6, 6), "eps": rng.uniform(3, 3)}
         layer = _shared_layer(params, {"w0": np.eye(3)})
         assert layer.generators[0] is params["gen"] and layer.eps[0] is params["eps"]
-        # the fixed-angle task freezes eps at the scalar 1
-        layer = _shared_layer({"gen": params["gen"]}, _frozen(FixedAngleTask()))
-        assert layer.generators[0] is params["gen"]
-        assert layer.scalar_eps and layer.eps == [1.0]
+        # the fixed-angle task freezes eps at the 1 x 1 identity
+        frozen = _frozen(FixedAngleTask())
+        layer = _shared_layer({"gen": params["gen"]}, frozen)
+        assert layer.generators[0] is params["gen"] and layer.eps[0] is frozen["eps"]
+        assert np.array_equal(layer.eps[0], np.eye(1))
 
     def test_copied_parameter_rejected(self):
         # float32 eps is converted, i.e. copied, by the layer

@@ -33,7 +33,7 @@ class TestFieldTerms:
 
     def test_single_scalar_channel_metric(self):
         eps = 0.3
-        layer = LConvLayer(np.array([[0.7]]), [eps], [sw_shift_generator(8)])
+        layer = LConvLayer(np.array([[0.7]]), [np.array([[eps]])], [sw_shift_generator(8)])
         terms = field_terms(layer)
         m2 = 0.49
         assert terms.channel_metric[0][0] == pytest.approx(eps * eps * m2)
@@ -50,12 +50,12 @@ class TestFieldTerms:
 
 class TestLossDecomposition:
     def test_zero_field(self):
-        layer = LConvLayer(np.eye(2), [0.2], [sw_shift_generator(8)])
+        layer = LConvLayer(np.eye(2), [0.2 * np.eye(2)], [sw_shift_generator(8)])
         assert mse_loss_direct(np.zeros((8, 2)), layer) == 0.0
 
     def test_zero_eps_is_pure_mass_term(self):
         rng = SeededRng(52)
-        layer = LConvLayer(rng.uniform(2, 2), [0.0], [sw_shift_generator(8)])
+        layer = LConvLayer(rng.uniform(2, 2), [np.zeros((2, 2))], [sw_shift_generator(8)])
         phi = rng.uniform(8, 2)
         expected = float(np.sum((phi @ layer.w0) ** 2))
         assert mse_loss_direct(phi, layer) == pytest.approx(expected, rel=1e-14)
@@ -71,7 +71,7 @@ class TestLossDecomposition:
 
     def test_constant_field_mass_only(self):
         gen = sw_shift_generator(8)
-        layer = LConvLayer(np.array([[0.5]]), [0.3], [gen])
+        layer = LConvLayer(np.array([[0.5]]), [np.array([[0.3]])], [gen])
         phi = np.full((8, 1), 1.7)
         mass, kinetic, div = loss_terms(phi, field_terms(layer), [gen])
         assert kinetic < 1e-20
@@ -85,7 +85,7 @@ class TestLossDecomposition:
             m = int(rng.integers(1, 4))
             gen = sw_shift_generator(d)
             layer = LConvLayer(rng.uniform_signed(0.9, (m, m)),
-                               [float(rng.uniform_signed(0.5, ()))],
+                               [rng.uniform_signed(0.5, ()) * np.eye(m)],
                                [gen])
             phi = rng.uniform(d, m)
             terms = field_terms(layer)
@@ -115,7 +115,7 @@ class TestLossDecomposition:
         ddy = np.kron(sw_shift_generator(h), np.eye(w))
         gens = [ddx, ddy]
         layer = LConvLayer(rng.uniform_signed(0.7, (2, 2)),
-                           [0.21, -0.4], gens)
+                           [0.21 * np.eye(2), -0.4 * np.eye(2)], gens)
         phi = rng.uniform(w * h, 2)
         terms = field_terms(layer)
         direct = mse_loss_direct(phi, layer)
@@ -127,7 +127,7 @@ class TestLossInvariance:
     def _layer_and_sample(self, seed, d=16, m=2):
         rng = SeededRng(seed)
         layer = LConvLayer(rng.uniform_signed(0.8, (m, m)),
-                           [float(rng.uniform_signed(0.4, ()))],
+                           [rng.uniform_signed(0.4, ()) * np.eye(m)],
                            [sw_shift_generator(d)])
         return layer, rng.uniform(d, m)
 

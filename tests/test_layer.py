@@ -11,7 +11,7 @@ from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
                          group_action, load_checkpoint, save_checkpoint)
 from lconv.numerics import (DimensionError, FormatError, SeededRng,
-                            finite_difference_gradient, write_matrix)
+                            finite_difference_gradient)
 
 
 def random_layer(rng, d, m_in, m_out, n_gen=1):
@@ -36,14 +36,14 @@ class TestForward:
         d = 8
         l = sw_shift_generator(d)
         f = rng.uniform(d, 1)
-        layer = LConvLayer(np.eye(1), [0.01], [l])
+        layer = LConvLayer(np.eye(1), [np.array([[0.01]])], [l])
         expected = f + 0.01 * (l @ f)
         assert np.abs(layer.forward(f) - expected).max() < 1e-14
 
     def test_hand_computed_ring(self):
         # d=3 ring with central-difference circulant, f = (1,2,3), eps = 0.1
         l = np.array([[0.0, 0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]])
-        layer = LConvLayer(np.eye(1), [0.1], [2.0 * l])
+        layer = LConvLayer(np.eye(1), [np.array([[0.1]])], [2.0 * l])
         f = np.array([[1.0], [2.0], [3.0]])
         out = layer.forward(f)
         assert np.allclose(out.ravel(), [0.9, 2.2, 2.9], atol=1e-14)
@@ -71,7 +71,7 @@ class TestForward:
     ], ids=["dense-4x3", "4-and-5"])
     def test_generators_must_be_d_by_d_for_one_d(self, gens):
         with pytest.raises(DimensionError, match="d x d"):
-            LConvLayer(np.eye(1), [1.0] * len(gens), gens)
+            LConvLayer(np.eye(1), [np.eye(1)] * len(gens), gens)
 
     def test_needs_a_generator(self):
         with pytest.raises(DimensionError, match="at least one generator"):
@@ -79,24 +79,14 @@ class TestForward:
 
     def test_float64_generator_is_held_as_given(self):
         m = SeededRng(35).uniform(4, 4)
-        assert LConvLayer(np.eye(1), [1.0], [m]).generators[0] is m
+        assert LConvLayer(np.eye(1), [np.eye(1)], [m]).generators[0] is m
 
-    def test_zero_d_eps_is_scalar_mode(self):
-        l = sw_shift_generator(4)
-        for eps in ([0.3], [np.float64(0.3), np.array(-0.2)]):
-            layer = LConvLayer(np.eye(2), eps, [l] * len(eps))
-            assert layer.scalar_eps
-            assert all(type(e) is float for e in layer.eps)
-
-    @pytest.mark.parametrize("w0", [[[1.0]], [[0.7, -1.3]]], ids=["identity", "random"])
-    def test_one_by_one_eps_is_matrix_mode_bit_equal_to_scalar(self, w0):
-        rng = SeededRng(25)
-        l, f = rng.uniform_signed(0.6, (5, 5)), rng.uniform_signed(0.7, (3, 5, 1))
-        matrix = LConvLayer(w0, [np.array([[0.37]])], [l])
-        scalar = LConvLayer(w0, [0.37], [l])
-        assert not matrix.scalar_eps and matrix.eps[0].shape == (1, 1)
-        assert scalar.scalar_eps
-        assert np.array_equal(matrix.forward(f), scalar.forward(f))
+    @pytest.mark.parametrize("eps", [[0.3], [np.float64(0.3)], [np.array(-0.2)]],
+                             ids=["float", "float64", "0-d array"])
+    def test_zero_d_eps_rejected(self, eps):
+        # a scalar coupling e is the matrix e I
+        with pytest.raises(DimensionError, match="2-D"):
+            LConvLayer(np.eye(1), eps, [sw_shift_generator(4)])
 
     def test_mixed_scalar_and_matrix_eps_rejected(self):
         with pytest.raises(DimensionError):
@@ -165,7 +155,7 @@ class TestRecursive:
         rng = SeededRng(28)
         d = 6
         l = rng.uniform(d, d)
-        layer = LConvLayer(np.eye(1), [0.2], [l])
+        layer = LConvLayer(np.eye(1), [np.array([[0.2]])], [l])
         f = rng.uniform(d, 1)
         out = f
         for _ in range(4):
@@ -237,21 +227,13 @@ class TestGcnReduction:
 
 
 class TestCheckpoint:
-    def test_scalar_eps_must_be_1x1(self, tmp_path):
-        layer = LConvLayer(np.eye(1), [0.5], [np.eye(3)])
-        save_checkpoint(layer, tmp_path / "ckpt", {})
-        assert load_checkpoint(tmp_path / "ckpt")[0].eps == [0.5]
-        write_matrix(tmp_path / "ckpt" / "eps_0.mat", np.zeros((0, 3)))
-        with pytest.raises(FormatError, match="scalar eps"):
-            load_checkpoint(tmp_path / "ckpt")
-
     def test_roundtrip(self, tmp_path):
         rng = SeededRng(37)
         layer = LConvLayer(rng.uniform(3, 2), [rng.uniform(3, 3), rng.uniform(3, 3)],
                            [rng.uniform(5, 5), rng.uniform(5, 5)])
         save_checkpoint(layer, tmp_path / "ckpt", extra={"epoch": 7})
         back, manifest = load_checkpoint(tmp_path / "ckpt")
-        assert manifest == {"scalar_eps": False, "generators": [{"form": "dense"}] * 2,
+        assert manifest == {"generators": [{"form": "dense"}] * 2,
                             "extra": {"epoch": 7}}
         for a, b in zip([back.w0] + back.eps + back.generators,
                         [layer.w0] + layer.eps + layer.generators):
@@ -261,7 +243,8 @@ class TestCheckpoint:
 
     def test_generator_entries_hold_only_form(self, tmp_path):
         # the reader accepts exactly what save_checkpoint writes
-        save_checkpoint(LConvLayer(np.eye(1), [0.5], [np.eye(4)]), tmp_path / "ckpt", {})
+        save_checkpoint(LConvLayer(np.eye(1), [np.array([[0.5]])], [np.eye(4)]),
+                        tmp_path / "ckpt", {})
         path = tmp_path / "ckpt" / "manifest.json"
         written = json.loads(path.read_text())
         assert written["generators"] == [{"form": "dense"}]
@@ -269,10 +252,10 @@ class TestCheckpoint:
             path.write_text(json.dumps(dict(written, generators=[entry])))
             with pytest.raises(FormatError, match="generator entry"):
                 load_checkpoint(tmp_path / "ckpt")
-        path.write_text(json.dumps(dict(written, has_bias=False, include_residual=True)))
+        path.write_text(json.dumps(dict(written, has_bias=False, scalar_eps=False)))
         with pytest.raises(FormatError, match=(
-                r"has keys \['extra', 'generators', 'has_bias', 'include_residual', "
-                r"'scalar_eps'\], expected exactly \['extra', 'generators', 'scalar_eps'\]")):
+                r"has keys \['extra', 'generators', 'has_bias', 'scalar_eps'\], "
+                r"expected exactly \['extra', 'generators'\]")):
             load_checkpoint(tmp_path / "ckpt")
 
 
@@ -297,8 +280,7 @@ def explicit_forward(layer, f):
     f, w0 = grid_major(f), layer.w0
     out = rows(f) @ w0
     for e, gen in zip(layer.eps, layer.generators):
-        mix = e * w0 if layer.scalar_eps else e.T @ w0
-        out = out + rows(left_apply(gen, f)) @ mix
+        out = out + rows(left_apply(gen, f)) @ (e.T @ w0)
     return out.reshape(f.shape[:-1] + (w0.shape[1],)).swapaxes(0, -2)
 
 
@@ -310,38 +292,33 @@ def explicit_backward(layer, f, upstream):
     lf = [rows(left_apply(g, f)) for g in layer.generators]
     a = rows(f).copy()
     for e, lfi in zip(layer.eps, lf):
-        a = a + (e * lfi if layer.scalar_eps else lfi @ e.T)
+        a = a + lfi @ e.T
     da = rows(upstream) @ w0.T
     d_input = da.copy().reshape(f.shape)
     d_eps, d_gens = [], []
     for e, lfi, gen in zip(layer.eps, lf, layer.generators):
-        if layer.scalar_eps:
-            d_eps.append(float(np.sum(lfi * da)))
-            dpre = e * da
-        else:
-            d_eps.append(da.T @ lfi)
-            dpre = da @ e
-        dpre = dpre.reshape(f.shape)
+        d_eps.append(da.T @ lfi)
+        dpre = (da @ e).reshape(f.shape)
         d_gens.append(dpre.reshape(f.shape[0], -1) @ f.reshape(f.shape[0], -1).T)
         d_input = d_input + left_apply(gen.T, dpre)
     return a.T @ rows(upstream), d_eps, d_gens, d_input.swapaxes(0, -2)
 
 
 def grad_arrays(g):
-    return [g.dW0, np.asarray(g.d_eps, dtype=float), *g.d_generators, g.d_input]
+    return [g.dW0, *g.d_eps, *g.d_generators, g.d_input]
 
 
 @st.composite
 def layer_cases(draw, identity=None):
-    """(layer, f, upstream) over shapes, batching, eps mode and W0 = I or
-    random."""
+    """(layer, f, upstream) over shapes, batching, eps a multiple of I or
+    general and W0 = I or random."""
     rng = SeededRng(draw(st.integers(0, 2 ** 16)))
     d, m = draw(st.integers(2, 7)), draw(st.integers(1, 4))
     n_gen = draw(st.integers(1, 2))
     scalar = draw(st.booleans())
     eye = draw(st.booleans()) if identity is None else identity
     w0 = np.eye(m) if eye else rng.uniform_signed(0.8, (m, m))
-    eps = [float(rng.uniform_signed(0.5, ())) if scalar
+    eps = [rng.uniform_signed(0.5, ()) * np.eye(m) if scalar
            else rng.uniform_signed(0.5, (m, m)) for _ in range(n_gen)]
     gens = [rng.uniform_signed(0.6, (d, d)) for _ in range(n_gen)]
     layer = LConvLayer(w0, eps, gens)
@@ -371,22 +348,24 @@ class TestEachProductOnce:
         g = layer.backward(f, up)
         dw0, d_eps, d_gens, d_input = explicit_backward(layer, f, up)
         assert np.array_equal(g.dW0, dw0)
-        assert np.array_equal(np.asarray(g.d_eps), np.asarray(d_eps))
-        for a, b in zip(g.d_generators, d_gens):
+        for a, b in zip(g.d_eps + g.d_generators, d_eps + d_gens):
             assert np.array_equal(a, b)
         assert np.array_equal(g.d_input, d_input)
 
-    @pytest.mark.parametrize("w0", [np.eye(1), np.array([[0.7]])], ids=["W0=I", "W0"])
+    @pytest.mark.parametrize("w0", [np.eye(3), np.array([[0.7, -0.2, 0.4], [0.1, 0.9, -0.5],
+                                                         [-0.3, 0.2, 0.6]])],
+                             ids=["W0=I", "W0"])
     def test_unit_scalar_eps_matches_explicit_products(self, w0):
-        # a scalar eps of exactly 1.0 skips its multiplies, with the bits
-        # of the products it skips
+        # the unit scalar coupling, eps^i = I, skips its products, with the
+        # bits of the products it skips
         rng = SeededRng(46)
-        layer = LConvLayer(w0, [1.0], [rng.uniform_signed(0.6, (7, 7))])
-        f, up = (rng.uniform_signed(0.7, (4, 7, 1)) for _ in range(2))
+        layer = LConvLayer(w0, [np.eye(3), rng.uniform_signed(0.5, (3, 3))],
+                           [rng.uniform_signed(0.6, (7, 7)) for _ in range(2)])
+        f, up = (rng.uniform_signed(0.7, (4, 7, 3)) for _ in range(2))
         assert np.array_equal(layer.forward(f), explicit_forward(layer, f))
         g = layer.backward(f, up)
         dw0, d_eps, d_gens, d_input = explicit_backward(layer, f, up)
-        for a, b in zip(grad_arrays(g), [dw0, np.asarray(d_eps), *d_gens, d_input]):
+        for a, b in zip(grad_arrays(g), [dw0, *d_eps, *d_gens, d_input]):
             assert np.array_equal(a, b)
 
     def test_w0_mutation_and_replacement_take_effect(self):
@@ -410,10 +389,12 @@ class TestEachProductOnce:
     def test_identity_w0_is_told_by_value(self, scalar):
         # a W0 equal to I but with -0.0 off the diagonal takes the skipped
         # products: with an inf in f and in upstream, the products with it
-        # would put NaN (inf * 0) beside each inf
+        # would put NaN (inf * 0) beside each inf.  The scalar coupling is
+        # the unit one, I, as the fixed-angle model freezes it: its own
+        # products are skipped too, where those of 0.4 I would carry NaN
         rng = SeededRng(45)
         d, m = 5, 3
-        eps = [0.4 if scalar else rng.uniform(m, m)]
+        eps = [np.eye(m) if scalar else rng.uniform(m, m)]
         gens = [rng.uniform(d, d)]
         f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
         f[1, 2, 0] = up[2, 4, 1] = np.inf
@@ -430,6 +411,32 @@ class TestEachProductOnce:
         # a NaN off the diagonal is no identity: the products run and carry it
         layer.w0[1, 2] = np.nan
         assert np.isnan(layer.forward(rng.uniform(15, m).reshape(3, d, m))).any()
+
+    @np.errstate(invalid="ignore")
+    def test_identity_eps_is_told_by_value(self):
+        # as for W0: an eps equal to I but with -0.0 off the diagonal takes
+        # the skipped products, which with an inf in f and in upstream would
+        # put NaN (inf * 0) beside each inf
+        rng = SeededRng(47)
+        d, m = 5, 3
+        gens = [rng.uniform(d, d)]
+        f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
+        f[1, 2, 0] = up[2, 4, 1] = np.inf
+        signed = np.eye(m)
+        signed[0, 1] = signed[2, 0] = -0.0
+        eye = LConvLayer(np.eye(m), [np.eye(m)], gens)
+        layer = LConvLayer(np.eye(m), [signed], gens)
+        out = layer.forward(f)
+        assert out.tobytes() == eye.forward(f).tobytes() and not np.isnan(out).any()
+        assert np.isnan(explicit_forward(layer, f)).any()
+        d_input = layer.backward(f, up).d_input
+        assert d_input.tobytes() == eye.backward(f, up).d_input.tobytes()
+        assert not np.isnan(d_input).any()
+        # a NaN off the diagonal is no identity: the products run and carry it
+        layer.eps[0][1, 2] = np.nan
+        f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
+        assert np.isnan(layer.forward(f)).any()
+        assert np.isnan(layer.backward(f, up).d_input).any()
 
     @pytest.mark.parametrize("trial", range(6))
     def test_identity_w0_gradients_match_finite_differences(self, trial):
@@ -478,15 +485,15 @@ class TestEachProductOnce:
         rng = SeededRng(43)
         d, m = 5, 2
         gen = rng.uniform(d, d)
-        layer = LConvLayer(rng.uniform(m, m), [0.4 if scalar else rng.uniform(m, m)],
-                           [gen])
+        layer = LConvLayer(rng.uniform(m, m), [0.4 * np.eye(m) if scalar
+                                               else rng.uniform(m, m)], [gen])
         f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
         dw0, d_eps, _, d_input = explicit_backward(layer, f, up)
         g = layer.backward(f, up)
         layer.eps[0] += 1.0
         layer.w0 += 1.0
         gen += 1.0
-        assert np.array_equal(np.asarray(g.d_eps), np.asarray(d_eps))
+        assert np.array_equal(g.d_eps[0], d_eps[0])
         assert np.array_equal(g.d_input, d_input)
         assert np.array_equal(g.dW0, dw0)
 
