@@ -139,7 +139,7 @@ def _echo_run(command, cfg):
 
 # -- subcommands ----------------------------------------------------------
 
-def cmd_gen_data(cfg, args):
+def cmd_gen_data(cfg):
     task = _build(_choose(_DATA_TASKS, cfg, "task"), cfg,
                   own=("task", "out_dir"), skip=AngleRegressionTask.MODEL_FIELDS)
     echo = dict(cfg, seed=task.seed)
@@ -172,7 +172,7 @@ def _write_report(out_dir, report):
         write_matrix(os.path.join(out_dir, f"{name}.mat"), np.atleast_2d(arr))
 
 
-def cmd_train(cfg, args):
+def cmd_train(cfg):
     task = _build(_choose(_TRAIN_TASKS, cfg, "task"), cfg,
                   own=("task", "optimizer", "out_dir", "resume"), required=("optimizer",))
     opt = _build(OptimizerConfig, cfg["optimizer"])
@@ -199,7 +199,7 @@ def cmd_train(cfg, args):
     return EXIT_OK
 
 
-def cmd_eval(cfg, args):
+def cmd_eval(cfg):
     _take(cfg, ("checkpoint", "data_dir", "out_dir"), required=("checkpoint", "data_dir"))
     with _config_errors():
         layer, manifest = load_checkpoint(cfg["checkpoint"])
@@ -219,7 +219,7 @@ def cmd_eval(cfg, args):
     return EXIT_OK
 
 
-def cmd_approx(cfg, args):
+def cmd_approx(cfg):
     _take(cfg, ("d_sweep", "z", "n_values", "out_dir"), required=("d_sweep",))
     with _config_errors():
         ds = _ints("d_sweep", cfg["d_sweep"])
@@ -235,7 +235,7 @@ def cmd_approx(cfg, args):
     return EXIT_OK
 
 
-def cmd_theory(cfg, args):
+def cmd_theory(cfg):
     defaults = _choose(_THEORY, cfg, "check")
     _take(cfg, [*defaults, "check", "seed", "out_dir"])
     values = {**defaults, "seed": 0, **cfg}
@@ -276,7 +276,7 @@ def cmd_theory(cfg, args):
     return EXIT_NUMERIC if worst > 1e-6 else EXIT_OK
 
 
-def cmd_version(cfg, args):
+def cmd_version(cfg):
     print(f"lconv {__version__}")
     return EXIT_OK
 
@@ -306,7 +306,7 @@ def main(argv=None):
     handler, needs_config = _COMMANDS[args.command]
     try:
         cfg = _load_config(args) if needs_config else {}
-        return handler(cfg, args)
+        return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

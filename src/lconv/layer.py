@@ -32,25 +32,21 @@ Each product is computed once, and only when its result is read:
   the gradient into L_i f, and with W0 = I also (L_i f) (eps^i)^T.  For
   finite inputs these products return their other operand exactly
   (except that a -0.0 entry comes back +0.0), and (eps^i)^T is passed
-  C-ordered, as the product was, so the results keep their bits.  The
-  check compares the matrix's bytes with I's and counts its values only
-  when they differ, so a matrix with -0.0 off the diagonal is still I,
-  and one holding a NaN is not.
+  C-ordered, as the product was, so the results keep their bits.  A
+  matrix is I when its bytes are np.eye's: a -0.0 or a NaN anywhere
+  makes it another matrix, whose products run.
 - Lazy gradients.  `backward` forms only the generator gradients.
   `LayerGradients.d_eps`, `d_input` and `dW0` (with the sum A = f +
   sum_i (L_i f) (eps^i)^T it needs) are computed on first read, so a
   step that trains only the generators never pays for them, nor does
-  the first call of a recursion stack for its input gradient.  Each is
-  the gradient as of the `backward` call: the call keeps copies of eps
-  and of the generators, and the gradient flowing into each L_i f that
-  it formed anyway, so an optimizer may update the parameters in place
-  before the first read.
+  the first call of a recursion stack for its input gradient.  `d_input`
+  and `dW0` read the layer's generators and eps as they are then, so
+  read them before an optimizer step changes the parameters.
 
 What a call checks and copies: `forward` and `backward` check that f
 ends in m_in channels with d grid points on axis -2, and `backward` that
 upstream has forward(f)'s shape; f and upstream are copied only when they
-are not float64 arrays stored grid-major.  `backward` copies the generators
-and eps for its lazy gradients; nothing else is copied.
+are not float64 arrays stored grid-major.  No parameter is copied.
 
 Every product runs on the calling thread.  At d = 49 none is large enough
 to gain from a second BLAS thread, and a product that wakes OpenBLAS's
@@ -77,31 +73,24 @@ def _eye_bytes(n):
 
 
 def _is_identity(a):
-    """True when the matrix a is exactly I: square, with n nonzeros, all on
-    a diagonal of ones.  Its bytes are compared with I's first; the values
-    are counted only when they differ, so a -0.0 off the diagonal still
-    counts and a NaN does not."""
+    """True when a has np.eye(n)'s shape and bytes."""
     n = a.shape[0]
-    return a.shape[1] == n and (
-        a.tobytes() == _eye_bytes(n)
-        or np.count_nonzero(a) == n and np.count_nonzero(a.diagonal() == 1.0) == n)
+    return a.shape == (n, n) and a.tobytes() == _eye_bytes(n)
 
 
 @dataclass
 class LayerGradients:
     """The gradients of one `backward` call.  `d_generators` is formed by
-    the call; `d_eps`, `d_input` and `dW0` are formed on first read, at
-    the parameters as they were at the call (it copies eps and the
-    generators, and forms upstream W0^T), from f, upstream and the
-    stashed L f, which must be left unchanged."""
+    the call; `d_eps`, `d_input` and `dW0` are formed on first read from
+    f, upstream, the stashed L f and the layer's eps and generators, so
+    read them before any of these changes."""
     d_generators: list   # d x d arrays
+    _layer: "LConvLayer" = field(repr=False)
     _f: np.ndarray = field(repr=False)          # grid-major input
     _upstream: np.ndarray = field(repr=False)   # (d B, m_out) rows
     _da: np.ndarray = field(repr=False)         # upstream W0^T
     _lf: list = field(repr=False)               # (d B, m_in) rows of L_i f
     _dpre: list = field(repr=False)             # gradient into L_i f, (d, B m_in)
-    _eps: list = field(repr=False)
-    _generators: list = field(repr=False)
 
     @cached_property
     def d_eps(self):
@@ -114,7 +103,7 @@ class LayerGradients:
         """Gradient w.r.t. f, of f's shape, stored grid-major."""
         f = self._f
         d_in = self._da.reshape(f.shape[0], -1)
-        for gen, dpre in zip(self._generators, self._dpre):
+        for gen, dpre in zip(self._layer.generators, self._dpre):
             d_in = d_in + gen.T @ dpre
         return d_in.reshape(f.shape).swapaxes(0, -2)
 
@@ -122,7 +111,7 @@ class LayerGradients:
     def dW0(self):
         """Gradient w.r.t. W0: out = A W0 with A = f + sum_i (L_i f) E_i."""
         a = self._f.reshape(-1, self._f.shape[-1])
-        for lfi, e in zip(self._lf, self._eps):
+        for lfi, e in zip(self._lf, self._layer.eps):
             a = a + lfi @ e.T
         return a.T @ self._upstream
 
@@ -187,13 +176,6 @@ class LConvLayer:
                                  f"{f.ndim - 2}, generators have d={self.d}")
         return np.ascontiguousarray(f.swapaxes(0, -2))
 
-    def _mixed(self, i, lf, identity):
-        """(L_i f) (eps^i)^T W0 from the (d B, m_in) rows lf of L_i f."""
-        e = self.eps[i]
-        if identity:   # C-ordered, as the product with W0 would be
-            return lf if _is_identity(e) else matmul(lf, np.ascontiguousarray(e.T))
-        return matmul(lf, e.T @ self.w0)
-
     def forward(self, f, lf=None):
         """Apply the layer to f of shape (*batch, d, m_in); returns
         (*batch, d, m_out), stored grid-major.
@@ -205,11 +187,15 @@ class LConvLayer:
         rows = f.reshape(-1, self.m_in)
         identity = _is_identity(self.w0)
         out = rows if identity else rows @ self.w0
-        for i, gen in enumerate(self.generators):
+        for e, gen in zip(self.eps, self.generators):
             lfi = matmul(gen, f.reshape(f.shape[0], -1)).reshape(rows.shape)
             if lf is not None:
                 lf.append(lfi)
-            out = out + self._mixed(i, lfi, identity)
+            if not identity:
+                lfi = matmul(lfi, e.T @ self.w0)
+            elif not _is_identity(e):   # C-ordered, as the product with W0 would be
+                lfi = matmul(lfi, np.ascontiguousarray(e.T))
+            out = out + lfi
         return out.reshape(f.shape[:-1] + (self.m_out,)).swapaxes(0, -2)
 
     # -- backward --------------------------------------------------------
@@ -238,10 +224,8 @@ class LConvLayer:
             dpre = (da if _is_identity(e) else da @ e).reshape(d, -1)
             d_gens.append(dpre @ grid.T)         # dpre: gradient into L_i f
             dpres.append(dpre)
-        return LayerGradients(
-            d_generators=d_gens, _f=f, _upstream=g, _da=da, _lf=lf, _dpre=dpres,
-            _eps=[e.copy() for e in self.eps],
-            _generators=[gen.copy(order="K") for gen in self.generators])
+        return LayerGradients(d_generators=d_gens, _layer=self, _f=f, _upstream=g,
+                              _da=da, _lf=lf, _dpre=dpres)
 
 
 def group_action(w, f):

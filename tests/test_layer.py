@@ -387,11 +387,12 @@ class TestEachProductOnce:
     @pytest.mark.parametrize("scalar", [True, False], ids=["scalar-eps", "matrix-eps"])
     @np.errstate(invalid="ignore")
     def test_identity_w0_is_told_by_value(self, scalar):
-        # a W0 equal to I but with -0.0 off the diagonal takes the skipped
-        # products: with an inf in f and in upstream, the products with it
-        # would put NaN (inf * 0) beside each inf.  The scalar coupling is
-        # the unit one, I, as the fixed-angle model freezes it: its own
-        # products are skipped too, where those of 0.4 I would carry NaN
+        # I is told by its bytes: a W0 with -0.0 off the diagonal runs the
+        # products with W0, np.eye skips them.  With an inf in f and in
+        # upstream, a product with W0 puts NaN (inf * 0) beside each inf,
+        # in the output and in upstream W0^T, which d_eps reads directly.
+        # The scalar coupling is the unit one, I, as the fixed-angle model
+        # freezes it
         rng = SeededRng(45)
         d, m = 5, 3
         eps = [np.eye(m) if scalar else rng.uniform(m, m)]
@@ -400,23 +401,23 @@ class TestEachProductOnce:
         f[1, 2, 0] = up[2, 4, 1] = np.inf
         signed = np.eye(m)
         signed[0, 1] = signed[2, 0] = -0.0
-        eye, layer = LConvLayer(np.eye(m), eps, gens), LConvLayer(signed, eps, gens)
-        out = layer.forward(f)
-        assert out.tobytes() == eye.forward(f).tobytes()
-        assert not np.array_equal(out, explicit_forward(layer, f), equal_nan=True)
-        d_input = layer.backward(f, up).d_input
-        assert d_input.tobytes() == eye.backward(f, up).d_input.tobytes()
-        assert not np.array_equal(d_input, explicit_backward(layer, f, up)[3],
-                                  equal_nan=True)
+        for w0, runs in ((signed, True), (np.eye(m), False)):
+            layer = LConvLayer(w0, eps, gens)
+            assert np.array_equal(layer.forward(f), explicit_forward(layer, f),
+                                  equal_nan=True) == runs
+            assert np.array_equal(layer.backward(f, up).d_eps[0],
+                                  explicit_backward(layer, f, up)[1][0],
+                                  equal_nan=True) == runs
         # a NaN off the diagonal is no identity: the products run and carry it
         layer.w0[1, 2] = np.nan
         assert np.isnan(layer.forward(rng.uniform(15, m).reshape(3, d, m))).any()
 
     @np.errstate(invalid="ignore")
     def test_identity_eps_is_told_by_value(self):
-        # as for W0: an eps equal to I but with -0.0 off the diagonal takes
-        # the skipped products, which with an inf in f and in upstream would
-        # put NaN (inf * 0) beside each inf
+        # as for W0: with W0 = I, an eps with -0.0 off the diagonal runs the
+        # products with eps, (L f) eps^T and the gradient into L f that
+        # d_generators reads, np.eye skips them; with an inf in f and in
+        # upstream, the products put NaN (inf * 0) beside each inf
         rng = SeededRng(47)
         d, m = 5, 3
         gens = [rng.uniform(d, d)]
@@ -424,14 +425,13 @@ class TestEachProductOnce:
         f[1, 2, 0] = up[2, 4, 1] = np.inf
         signed = np.eye(m)
         signed[0, 1] = signed[2, 0] = -0.0
-        eye = LConvLayer(np.eye(m), [np.eye(m)], gens)
-        layer = LConvLayer(np.eye(m), [signed], gens)
-        out = layer.forward(f)
-        assert out.tobytes() == eye.forward(f).tobytes() and not np.isnan(out).any()
-        assert np.isnan(explicit_forward(layer, f)).any()
-        d_input = layer.backward(f, up).d_input
-        assert d_input.tobytes() == eye.backward(f, up).d_input.tobytes()
-        assert not np.isnan(d_input).any()
+        for eps, runs in ((signed, True), (np.eye(m), False)):
+            layer = LConvLayer(np.eye(m), [eps], gens)
+            assert np.array_equal(layer.forward(f), explicit_forward(layer, f),
+                                  equal_nan=True) == runs
+            assert np.array_equal(layer.backward(f, up).d_generators[0],
+                                  explicit_backward(layer, f, up)[2][0],
+                                  equal_nan=True) == runs
         # a NaN off the diagonal is no identity: the products run and carry it
         layer.eps[0][1, 2] = np.nan
         f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
@@ -465,37 +465,6 @@ class TestEachProductOnce:
                              g.d_generators[0].ravel()])
         rel = np.abs(an - fd) / np.maximum(1e-4 * np.abs(fd).max(), np.abs(fd))
         assert rel.max() < 1e-5
-
-    def test_lazy_dw0_reads_eps_as_of_backward(self):
-        # an optimizer updates eps in place after backward; a later read
-        # of dW0 must still be the gradient at the old eps
-        rng = SeededRng(42)
-        layer = LConvLayer(np.eye(2), [rng.uniform(2, 2)], [rng.uniform(5, 5)])
-        f, up = rng.uniform(15, 2).reshape(3, 5, 2), rng.uniform(15, 2).reshape(3, 5, 2)
-        expected = explicit_backward(layer, f, up)[0]
-        g = layer.backward(f, up)
-        layer.eps[0] += 1.0
-        assert np.array_equal(g.dW0, expected)
-
-    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar-eps", "matrix-eps"])
-    def test_lazy_gradients_read_parameters_as_of_backward(self, scalar):
-        # an optimizer updates every parameter in place after backward; a
-        # later first read of d_eps, d_input or dW0 must still be the
-        # gradient at the old values
-        rng = SeededRng(43)
-        d, m = 5, 2
-        gen = rng.uniform(d, d)
-        layer = LConvLayer(rng.uniform(m, m), [0.4 * np.eye(m) if scalar
-                                               else rng.uniform(m, m)], [gen])
-        f, up = rng.uniform(15, m).reshape(3, d, m), rng.uniform(15, m).reshape(3, d, m)
-        dw0, d_eps, _, d_input = explicit_backward(layer, f, up)
-        g = layer.backward(f, up)
-        layer.eps[0] += 1.0
-        layer.w0 += 1.0
-        gen += 1.0
-        assert np.array_equal(g.d_eps[0], d_eps[0])
-        assert np.array_equal(g.d_input, d_input)
-        assert np.array_equal(g.dW0, dw0)
 
     @staticmethod
     def record_backward(monkeypatch):
