@@ -66,8 +66,12 @@ def _sw_band(d, z):
     endpoint terms p = +-d/2 at half weight (the unique real convention
     with D(integer) = delta)."""
     v = z + np.arange(d, dtype=np.float64)
-    p = np.arange(1, d // 2, dtype=np.float64)
-    band = 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(p, v) / d).sum(axis=0)
+    # the phase table 2 pi p v / d built in one array, in place, with the
+    # rounding of that expression
+    t = np.outer(np.arange(1, d // 2, dtype=np.float64), v)
+    t *= 2.0 * np.pi
+    t /= d
+    band = 1.0 + 2.0 * np.cos(t, out=t).sum(axis=0)
     return (band + np.cos(np.pi * v)) / d
 
 
@@ -88,8 +92,12 @@ def sw_shift_matrix(d, z):
 def _sw_generator_band(d):
     k = np.arange(d, dtype=np.float64)
     p = np.arange(1, (d + 1) // 2, dtype=np.float64)
-    band = -(2.0 / d) * ((2.0 * np.pi * p[:, None] / d)
-                         * np.sin(2.0 * np.pi * np.outer(p, k) / d)).sum(axis=0)
+    t = np.outer(p, k)  # in place, as in _sw_band
+    t *= 2.0 * np.pi
+    t /= d
+    np.sin(t, out=t)
+    t *= 2.0 * np.pi * p[:, None] / d
+    band = -(2.0 / d) * t.sum(axis=0)
     if d % 2 == 0:
         band -= (np.pi / d) * np.sin(np.pi * k)
     return band

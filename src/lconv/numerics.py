@@ -239,7 +239,9 @@ _HEADER = struct.Struct("<8sIQQ")
 def write_matrix(path, m):
     m = as_matrix(m)
     check_finite(m, "matrix to write")
-    rows = max(8, (1 << 20) // (8 * max(m.shape[1], 1)))  # 1 MiB copies, any layout
+    # copies of at most 1 MiB in any layout, or of 8 rows once a row
+    # passes 128 KiB (16384 columns)
+    rows = max(8, (1 << 20) // (8 * max(m.shape[1], 1)))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]))
         for start in range(0, m.shape[0], rows):

@@ -9,7 +9,7 @@ from lconv.groups import (_circulant, _sw_generator_band,
                           sw_shift_matrix)
 from lconv.layer import LConvLayer, group_action
 from lconv.numerics import (DegenerateInputError, DimensionError, LconvError,
-                            SeededRng, cosine_correlation)
+                            SeededRng, cosine_correlation, frobenius)
 
 
 def _shifts(d, offsets):
@@ -88,6 +88,22 @@ class TestApproxGroupElement:
             approx = approx_group_element(gen, 2.0, 256)
             assert cosine_correlation(approx, exact) > 0.999
 
+    @pytest.mark.parametrize("d", [8, 20, 64, 256])
+    def test_sweep_matches_dense_scores(self, d):
+        # the sweep scores the two circulants by their first columns; the
+        # dense d x d formulas are the reference
+        gen = sw_shift_generator(d)
+        ns = [1, 4, 16, 256]
+        for z in (2.0, -2.3, 0.5):
+            exact = sw_shift_matrix(d, z).matrix
+            for (n, eta, err, corr), m in zip(shift_approx_sweep(d, z, ns), ns):
+                dense = approx_group_element(gen, z, m)
+                assert (n, eta) == (m, z / m)
+                ref_err = frobenius(dense - exact)
+                ref_corr = cosine_correlation(dense, exact)
+                assert abs(err - ref_err) <= 1e-13 * abs(ref_err), (z, n, err, ref_err)
+                assert abs(corr - ref_corr) <= 1e-13 * abs(ref_corr), (z, n, corr, ref_corr)
+
 
 def dense_power(gen, z, n):
     """The dense reference: matrix_power of the step."""
@@ -108,6 +124,9 @@ def _low_rank():
     rng = SeededRng(48)
     return rng.uniform(12, 3) @ rng.uniform(3, 12)
 
+
+ROLL_CASES = {"sw d=8": lambda: sw_shift_generator(8),
+              "sw d=64": lambda: sw_shift_generator(64), "odd": _odd_circulant}
 
 CIRCULANTS = [sw_shift_generator(d) for d in (8, 12, 20, 64)] + [_odd_circulant()]
 
@@ -139,12 +158,46 @@ class TestCirculantPower:
         _low_rank(),
         _one_ulp_off_sw(),
         np.ones((4, 8)),
+        np.ones((8, 4)),
     ], ids=["sw-rotation-generator 7x7", "random dense", "low rank",
-            "sw one ulp off", "constant 4x8"])
+            "sw one ulp off", "constant 4x8", "constant 8x4"])
     def test_other_generators_rejected(self, gen):
         for z, n in ((2.0, 5), (-2.3, 64)):
             with pytest.raises(DegenerateInputError, match="not exactly circulant"):
                 approx_group_element(gen, z, n)
+
+    @pytest.mark.parametrize("name", list(ROLL_CASES))
+    @pytest.mark.parametrize("change", ["none", "ulp at (0, 0)", "ulp at (0, j)",
+                                        "ulp at (i, 0)", "ulp at (d-1, d-1)",
+                                        "ulp at (0, d-1)", "ulp at (d-1, 0)",
+                                        "ulp inside", "nan diagonal"])
+    def test_circulant_rule_is_the_roll_rule(self, name, change):
+        # accepted exactly when bit-equal to the diagonal roll; (0, d-1) and
+        # (d-1, 0) are seen only by the wrapped row and column
+        gen = ROLL_CASES[name]()
+        d = len(gen)
+        where = {"ulp at (0, 0)": (0, 0), "ulp at (0, j)": (0, d // 2),
+                 "ulp at (i, 0)": (d - 2, 0), "ulp at (d-1, d-1)": (d - 1, d - 1),
+                 "ulp at (0, d-1)": (0, d - 1), "ulp at (d-1, 0)": (d - 1, 0),
+                 "ulp inside": (2, d - 3)}.get(change)
+        if where is not None:
+            gen[where] = np.nextafter(gen[where], np.inf)
+        if change == "nan diagonal":
+            # still a circulant pattern, but NaN != NaN
+            np.fill_diagonal(gen, np.nan)
+        rolled = np.array_equal(np.roll(gen, (1, 1), axis=(0, 1)), gen)
+        assert rolled == (change == "none")
+        if rolled:
+            assert approx_group_element(gen, 2.0, 4).shape == (d, d)
+        else:
+            with pytest.raises(DegenerateInputError, match="not exactly circulant"):
+                approx_group_element(gen, 2.0, 4)
+
+    def test_one_by_one_is_its_own_roll(self):
+        # only the corner compare sees a 1 x 1 generator
+        assert approx_group_element(np.array([[0.5]]), 2.0, 4).shape == (1, 1)
+        with pytest.raises(DegenerateInputError, match="not exactly circulant"):
+            approx_group_element(np.array([[np.nan]]), 2.0, 4)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_step_count_must_be_an_integer(self, n):
