@@ -103,7 +103,7 @@ def cnn_equivalence_check(kernel_weights, d, f):
     if taps.size > d:
         raise DimensionError(f"kernel size {taps.size} exceeds grid size {d}")
     f = as_matrix(f)
-    anchors = [sw_shift_matrix(d, mu).matrix for mu in range(taps.size)]
+    anchors = [sw_shift_matrix(d, mu) for mu in range(taps.size)]
     return float(np.abs(gconv_reference(f, anchors, taps)
                         - circular_convolve(f, taps)).max())
 
@@ -118,7 +118,7 @@ def shift_approx_sweep(d, z, n_values):
     factor d cancels in the cosine, with no d x d pass after A is built.
     """
     gen = sw_shift_generator(d)
-    e = sw_shift_matrix(d, z).matrix[:, :1]
+    e = sw_shift_matrix(d, z)[:, :1]
     rows = []
     for n in n_values:
         a = approx_group_element(gen, z, n)[:, :1]

@@ -34,7 +34,7 @@ from .fieldtheory import (field_terms, helmholtz_convergence, mse_loss_decompose
                           mse_loss_direct)
 from .groups import _check_even, sw_shift_generator
 from .layer import LConvLayer, load_checkpoint
-from .numerics import (LconvError, SeededRng, check_value, write_csv,
+from .numerics import (LconvError, SeededRng, check_finite, check_value, write_csv,
                        write_matrix, read_matrix)
 
 EXIT_OK = 0
@@ -161,13 +161,19 @@ def cmd_gen_data(cfg):
     return EXIT_OK
 
 
+def _write_csv(path, header, rows):
+    """write_csv, refusing a NaN or infinite result as a numeric failure."""
+    check_finite([v for row in rows for v in row if isinstance(v, float)], f"rows for {path}")
+    write_csv(path, header, rows)
+
+
 def _write_report(out_dir, report):
     _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     _write_json(os.path.join(out_dir, "timing.json"),
                 {"wall_clock_sec": report.wall_clock_sec, "phase_sec": report.phases})
-    write_csv(os.path.join(out_dir, "loss.csv"),
-              ("epoch", "train_mse", "test_mse"),
-              [(int(e), float(tr), float(te)) for e, tr, te in report.loss_curve])
+    _write_csv(os.path.join(out_dir, "loss.csv"),
+               ("epoch", "train_mse", "test_mse"),
+               [(int(e), float(tr), float(te)) for e, tr, te in report.loss_curve])
     for name, arr in report.arrays.items():
         write_matrix(os.path.join(out_dir, f"{name}.mat"), np.atleast_2d(arr))
 
@@ -230,8 +236,8 @@ def cmd_approx(cfg):
     out_dir = _echo_run("approx", cfg)
     for d in ds:
         rows = shift_approx_sweep(int(d), z, n_values)
-        write_csv(os.path.join(out_dir, f"shift_approx_d{d}.csv"),
-                  ("n", "eta", "frobenius_error", "correlation"), rows)
+        _write_csv(os.path.join(out_dir, f"shift_approx_d{d}.csv"),
+                   ("n", "eta", "frobenius_error", "correlation"), rows)
     return EXIT_OK
 
 
@@ -253,8 +259,8 @@ def cmd_theory(cfg):
     out_dir = _echo_run("theory", dict(cfg, seed=values["seed"]))
     if cfg["check"] == "helmholtz":
         rows = helmholtz_convergence(values["sizes"], values["eps_scale"])
-        write_csv(os.path.join(out_dir, "helmholtz.csv"),
-                  ("grid_size", "el_residual", "noether_divergence"), rows)
+        _write_csv(os.path.join(out_dir, "helmholtz.csv"),
+                   ("grid_size", "el_residual", "noether_divergence"), rows)
         for row in rows:
             print("grid %4d  el %.3e  noether %.3e" % row)
         return EXIT_OK

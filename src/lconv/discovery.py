@@ -212,7 +212,7 @@ def gen_fixed_angle_dataset(task):
     Y = R(theta) X rounded as BLAS does on C-ordered X.  Train and test splits
     use seeds (seed, seed + 1).  Train is stored sample-major (X.T C-contiguous)
     so minibatches gather whole rows; test stays C-ordered for in-order column sums."""
-    r = rotation_matrix_bilinear(task.width, task.height, task.theta).matrix
+    r = rotation_matrix_bilinear(task.width, task.height, task.theta)
     out = {}
     for split, seed, n in (("train", task.seed, task.n_train),
                            ("test", task.seed + 1, task.n_test)):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layer import group_action
 from .numerics import DimensionError, as_matrix
 
 
@@ -87,7 +86,7 @@ def loss_terms(phi, terms, generators):
 
 
 def loss_invariance_check(phi, layer, w):
-    """|I(w . Phi) - I(Phi)| / I(Phi) for a group element w.
+    """|I(w Phi) - I(Phi)| / I(Phi) for a d x d group element w.
 
     Exact (up to rounding) when w commutes with the layer's generators and
     acts unitarily on the field's spectral support; on an even periodic
@@ -95,7 +94,7 @@ def loss_invariance_check(phi, layer, w):
     are exact for every field.
     """
     base = mse_loss_direct(phi, layer)
-    moved = mse_loss_direct(group_action(w, phi), layer)
+    moved = mse_loss_direct(w @ phi, layer)
     return abs(moved - base) / max(base, 1e-300)
 
 

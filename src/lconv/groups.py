@@ -27,12 +27,11 @@ both the rotation matrices and the rotated-image datasets, so the two
 share their corner weights and padding; they differ only in the order a
 matrix product sums the four terms.
 
-Generators are plain d x d arrays and elements carry their matrix and
-its inverse, with no grid object beside them: a grid of d points is
-implied by their d x d size.
+Generators and group elements are plain d x d float64 arrays, with no
+grid object beside them: a grid of d points is implied by their d x d
+size.  An element acts on features as w @ f; a caller that needs an
+inverse builds it by the parameter, e.g. sw_shift_matrix(d, -z).
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,17 +41,6 @@ from .numerics import LconvError
 
 class UnsupportedSizeError(LconvError):
     pass
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A lifted group element: an invertible d x d matrix.
-
-    `inverse` is the group-parametric inverse (e.g. the shift by -z), not
-    a numerical matrix inverse; for resampling operators the two differ.
-    """
-    matrix: np.ndarray
-    inverse: np.ndarray = field(repr=False)
 
 
 def _check_even(d, who):
@@ -83,10 +71,10 @@ def _circulant(band):
 
 
 def sw_shift_matrix(d, z):
-    """SW fractional shift by z on a periodic grid of even size d."""
+    """SW fractional shift by z on a periodic grid of even size d.  D is
+    even, so g(-z) = g(z)^T: the inverse of g(z) is g(z)^T off Nyquist."""
     _check_even(d, "sw_shift_matrix")
-    return GroupElement(_circulant(_sw_band(d, float(z))),
-                        inverse=_circulant(_sw_band(d, -float(z))))
+    return _circulant(_sw_band(d, float(z)))
 
 
 def _sw_generator_band(d):
@@ -179,10 +167,6 @@ def rotation_matrix_bilinear(width, height, theta):
     if width < 2 or height < 2:
         raise UnsupportedSizeError("rotation needs width, height >= 2")
     d = width * height
-
-    def resampled(angle):
-        # C order, as BLAS sums R @ X in an order that depends on layout
-        return np.ascontiguousarray(
-            _bilinear_resample(np.eye(d), np.full(d, angle), width, height).T)
-
-    return GroupElement(resampled(float(theta)), inverse=resampled(-float(theta)))
+    # C order, as BLAS sums R @ X in an order that depends on layout
+    return np.ascontiguousarray(
+        _bilinear_resample(np.eye(d), np.full(d, float(theta)), width, height).T)

@@ -228,19 +228,13 @@ class LConvLayer:
                               _da=da, _lf=lf, _dpre=dpres)
 
 
-def group_action(w, f):
-    """Transformed features w . f = w^{-T} f, from the GroupElement's
-    group-parametric inverse (exact and well conditioned for the shift
-    and rotation families)."""
-    return w.inverse.T @ f
-
-
 def equivariance_residual(f, w, layer):
-    """|| Q[w.f] - w.Q[f] || / ||Q[f]||, zero when w commutes with the L_i."""
+    """|| Q[w f] - w Q[f] || / ||Q[f]|| for a d x d group element w, zero
+    when w commutes with the L_i."""
     values = as_matrix(f)
     qf = layer.forward(values)
-    lhs = layer.forward(group_action(w, values))
-    rhs = group_action(w, qf)
+    lhs = layer.forward(w @ values)
+    rhs = w @ qf
     return frobenius(lhs - rhs) / max(frobenius(qf), 1e-300)
 
 
@@ -274,13 +268,12 @@ def save_checkpoint(layer, directory, extra):
     for i, (e, g) in enumerate(zip(layer.eps, layer.generators)):
         write_matrix(os.path.join(directory, f"eps_{i}.mat"), e)
         write_matrix(os.path.join(directory, f"gen_{i}.mat"), g)
-    manifest = {"generators": [{"form": "dense"}] * layer.n_generators,
-                "extra": extra}
+    manifest = {"generators": layer.n_generators, "extra": extra}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-_MANIFEST_TYPES = {"extra": dict, "generators": list}
+_MANIFEST_TYPES = {"extra": dict, "generators": int}
 
 
 def _read_manifest(directory):
@@ -298,12 +291,8 @@ def _read_manifest(directory):
         raise FormatError(f"{path} has keys {sorted(manifest)}, "
                           f"expected exactly {sorted(_MANIFEST_TYPES)}")
     for key, kind in _MANIFEST_TYPES.items():
-        if not isinstance(manifest[key], kind):
-            raise FormatError(f"{path}: {key!r} is not a {kind.__name__}")
-    for desc in manifest["generators"]:
-        if desc != {"form": "dense"}:
-            raise FormatError(f"{path}: generator entry {desc!r} is not "
-                              f"{{'form': 'dense'}}")
+        if type(manifest[key]) is not kind:   # so a bool is no int
+            raise FormatError(f"{path}: {key!r} is not of type {kind.__name__}")
     return manifest
 
 
@@ -314,7 +303,7 @@ def load_checkpoint(directory):
     w0 = read_matrix(os.path.join(directory, "W0.mat"))
     eps = []
     gens = []
-    for i in range(len(manifest["generators"])):
+    for i in range(manifest["generators"]):
         eps.append(read_matrix(os.path.join(directory, f"eps_{i}.mat")))
         gens.append(read_matrix(os.path.join(directory, f"gen_{i}.mat")))
     return LConvLayer(w0, eps, gens), manifest

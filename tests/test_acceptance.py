@@ -22,8 +22,7 @@ from lconv.fieldtheory import (FieldTheoryTerms, el_residual, field_terms,
                                mse_loss_decomposed, mse_loss_direct)
 from lconv.groups import sw_shift_generator, sw_shift_matrix
 from lconv.layer import (LConvLayer, equivariance_residual,
-                         gcn_propagation_matrix, gcn_reduction_check,
-                         group_action)
+                         gcn_propagation_matrix, gcn_reduction_check)
 from lconv.numerics import SeededRng, finite_difference_gradient
 
 
@@ -47,14 +46,14 @@ class TestCriterion01SwGroupExactness:
         worst_shift = 0.0
         worst_closure = 0.0
         for d in (8, 16, 32, 64):
-            g1 = sw_shift_matrix(d, 1.0).matrix
+            g1 = sw_shift_matrix(d, 1.0)
             worst_shift = max(worst_shift, float(np.abs(g1 - exact_shift(d, 1)).max()))
             rng = SeededRng(100 + d)
             for _ in range(50):
                 w, z = (int(v) for v in rng.integers(-d, d, size=2))
-                gw = sw_shift_matrix(d, w).matrix
-                gz = sw_shift_matrix(d, z).matrix
-                gwz = sw_shift_matrix(d, w + z).matrix
+                gw = sw_shift_matrix(d, w)
+                gz = sw_shift_matrix(d, z)
+                gwz = sw_shift_matrix(d, w + z)
                 rel = np.linalg.norm(gw @ gz - gwz) / np.linalg.norm(gwz)
                 worst_closure = max(worst_closure, float(rel))
         assert worst_shift <= 1e-10
@@ -103,7 +102,7 @@ class TestCriterion03Equivariance:
         etas = [1e-1, 3e-2, 1e-2, 3e-3]
         res = []
         for eta in etas:
-            lhs = layer.forward(group_action(sw_shift_matrix(d, eta), f))
+            lhs = layer.forward(sw_shift_matrix(d, eta) @ f)
             rhs = (np.eye(d) + eta * gen) @ qf
             res.append(np.linalg.norm(lhs - rhs) / np.linalg.norm(qf))
         slope = fit_loglog_slope(etas, res)

@@ -7,14 +7,14 @@ from lconv.approx import (approx_group_element, circular_convolve,
 from lconv.groups import (_circulant, _sw_generator_band,
                           sw_rotation_generator, sw_shift_generator,
                           sw_shift_matrix)
-from lconv.layer import LConvLayer, group_action
+from lconv.layer import LConvLayer
 from lconv.numerics import (DegenerateInputError, DimensionError, LconvError,
                             SeededRng, cosine_correlation, frobenius)
 
 
 def _shifts(d, offsets):
     """The matrices of the integer SW shifts g_mu, as gconv_reference anchors."""
-    return [sw_shift_matrix(d, mu).matrix for mu in offsets]
+    return [sw_shift_matrix(d, mu) for mu in offsets]
 
 
 class TestGconvReference:
@@ -38,8 +38,8 @@ class TestGconvReference:
         anchors, weights = _shifts(d, [0, 1, 3]), [0.5, 0.3, -0.1]
         for z in (1.0, 0.4, -2.3):
             w = sw_shift_matrix(d, z)
-            lhs = gconv_reference(group_action(w, f), anchors, weights)
-            rhs = group_action(w, gconv_reference(f, anchors, weights))
+            lhs = gconv_reference(w @ f, anchors, weights)
+            rhs = w @ gconv_reference(f, anchors, weights)
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
     def test_dimension_mismatch(self):
@@ -84,7 +84,7 @@ class TestApproxGroupElement:
     def test_near_convergence_at_many_steps(self):
         for d in (16, 64):
             gen = sw_shift_generator(d)
-            exact = sw_shift_matrix(d, 2.0).matrix
+            exact = sw_shift_matrix(d, 2.0)
             approx = approx_group_element(gen, 2.0, 256)
             assert cosine_correlation(approx, exact) > 0.999
 
@@ -95,7 +95,7 @@ class TestApproxGroupElement:
         gen = sw_shift_generator(d)
         ns = [1, 4, 16, 256]
         for z in (2.0, -2.3, 0.5):
-            exact = sw_shift_matrix(d, z).matrix
+            exact = sw_shift_matrix(d, z)
             for (n, eta, err, corr), m in zip(shift_approx_sweep(d, z, ns), ns):
                 dense = approx_group_element(gen, z, m)
                 assert (n, eta) == (m, z / m)
@@ -247,13 +247,13 @@ class TestLconvStack:
         # single step: || (I + eta L) - g(eta) || ~ O(eta^2)
         etas = [0.2, 0.1, 0.05, 0.025]
         single = [np.linalg.norm(np.eye(d) + eta * gen
-                                 - sw_shift_matrix(d, eta).matrix)
+                                 - sw_shift_matrix(d, eta))
                   for eta in etas]
         assert abs(fit_loglog_slope(etas, single) - 2.0) < 0.3
         # composed at fixed total shift z = 2: error ~ O(eta) with eta = z/n
         # (asymptotic step counts; the coarse-n prefactor inflates the slope)
         ns = [32, 64, 128, 256]
-        exact = sw_shift_matrix(d, 2.0).matrix
+        exact = sw_shift_matrix(d, 2.0)
         composed = [np.linalg.norm(approx_group_element(gen, 2.0, n) - exact)
                     for n in ns]
         assert abs(fit_loglog_slope([2.0 / n for n in ns], composed) - 1.0) < 0.2

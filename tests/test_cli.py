@@ -352,11 +352,11 @@ MANIFEST_EDITS = {
     "not-json": lambda m: json.dumps(m)[:-1],
     "missing-key": lambda m: json.dumps({k: v for k, v in m.items() if k != "generators"}),
     "wrong-type": lambda m: json.dumps(dict(m, extra="yes")),
-    "unknown-form": lambda m: json.dumps(
-        dict(m, generators=[dict(m["generators"][0], form="sparse")])),
+    "unknown-form": lambda m: json.dumps(dict(m, generators=[{"form": "sparse"}])),
     "tanh-head": lambda m: json.dumps(dict(m, has_bias=True)),
     "no-residual": lambda m: json.dumps(dict(m, include_residual=False)),
     # what checkpoints of earlier versions held: one format loads, not these
+    "dense-list": lambda m: json.dumps(dict(m, generators=[{"form": "dense"}])),
     "low-rank-form": lambda m: json.dumps(dict(m, generators=[{"form": "low_rank"}])),
     "labelled-entry": lambda m: json.dumps(
         dict(m, generators=[{"form": "dense", "label": "x"}])),
@@ -365,7 +365,9 @@ MANIFEST_EDITS = {
         dict(m, train_w0=False, train_eps=False, train_generators=True)),
     "residual-flags": lambda m: json.dumps(dict(m, has_bias=False, include_residual=True)),
     "scalar-eps-key": lambda m: json.dumps(dict(m, scalar_eps=True)),
-    "no-generators": lambda m: json.dumps(dict(m, generators=[])),
+    "no-generators": lambda m: json.dumps(dict(m, generators=0)),
+    "generators-float": lambda m: json.dumps(dict(m, generators=1.0)),
+    "generators-bool": lambda m: json.dumps(dict(m, generators=True)),
     "no-epoch": lambda m: json.dumps(
         dict(m, extra={k: v for k, v in m["extra"].items() if k != "epoch"})),
 }
@@ -487,6 +489,16 @@ class TestApprox:
         assert files == ["shift_approx_d16.csv", "shift_approx_d32.csv",
                          "shift_approx_d8.csv"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_exits_3(self, tmp_path):
+        # (I + (z/n) L)^n overflows at n = 1024 for z = 1000: the row would
+        # read nan, so no CSV is written
+        cfg = write_cfg(tmp_path / "a.json",
+                        {"d_sweep": [16], "z": 1000.0, "n_values": [4, 1024],
+                         "out_dir": str(tmp_path / "out")})
+        assert run("approx", "--config", cfg) == 3
+        assert not (tmp_path / "out" / "shift_approx_d16.csv").exists()
+
 
 class TestTheory:
     def test_helmholtz_monotone_rows(self, tmp_path):
@@ -498,6 +510,15 @@ class TestTheory:
         residuals = [float(r.split(",")[1]) for r in rows]
         assert len(residuals) == 3
         assert residuals[0] > residuals[1] > residuals[2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_helmholtz_row_exits_3(self, tmp_path):
+        # cosh(x / 0.001) overflows on the grid: the row would read nan
+        cfg = write_cfg(tmp_path / "t.json",
+                        {"check": "helmholtz", "eps_scale": 0.001, "sizes": [32],
+                         "out_dir": str(tmp_path / "out")})
+        assert run("theory", "--config", cfg) == 3
+        assert not (tmp_path / "out" / "helmholtz.csv").exists()
 
     def test_decomposition_check_passes(self, tmp_path):
         cfg = write_cfg(tmp_path / "t.json",

@@ -16,12 +16,12 @@ def exact_shift(d, mu):
 class TestSwShift:
     def test_zero_is_identity(self):
         for d in (8, 16, 32):
-            assert np.abs(sw_shift_matrix(d, 0.0).matrix - np.eye(d)).max() < 1e-12
+            assert np.abs(sw_shift_matrix(d, 0.0) - np.eye(d)).max() < 1e-12
 
     def test_integer_shift_exact(self):
         for d in (8, 16, 32, 64):
             for mu in (1, 3, -2):
-                g = sw_shift_matrix(d, mu).matrix
+                g = sw_shift_matrix(d, mu)
                 assert np.abs(g - exact_shift(d, mu)).max() < 1e-10
 
     def test_integer_closure(self):
@@ -29,9 +29,9 @@ class TestSwShift:
         d = 16
         for _ in range(50):
             w, z = (int(v) for v in rng.integers(-d, d, size=2))
-            gw = sw_shift_matrix(d, w).matrix
-            gz = sw_shift_matrix(d, z).matrix
-            gwz = sw_shift_matrix(d, w + z).matrix
+            gw = sw_shift_matrix(d, w)
+            gz = sw_shift_matrix(d, z)
+            gwz = sw_shift_matrix(d, w + z)
             rel = np.linalg.norm(gw @ gz - gwz) / np.linalg.norm(gwz)
             assert rel < 1e-9
 
@@ -40,9 +40,9 @@ class TestSwShift:
         # unpaired mode of an even grid carries the residual, whose size is
         # |sin(pi w) sin(pi z)| in closed form.
         d = 16
-        ga = sw_shift_matrix(d, 0.3).matrix
-        gb = sw_shift_matrix(d, 0.7).matrix
-        gab = sw_shift_matrix(d, 1.0).matrix
+        ga = sw_shift_matrix(d, 0.3)
+        gb = sw_shift_matrix(d, 0.7)
+        gab = sw_shift_matrix(d, 1.0)
         diff = ga @ gb - gab
         nyq = np.cos(np.pi * np.arange(d)) / np.sqrt(d)
         deflated = diff - np.outer(nyq, nyq) * (nyq @ diff @ nyq)
@@ -51,9 +51,18 @@ class TestSwShift:
                    - abs(np.sin(np.pi * 0.3) * np.sin(np.pi * 0.7))) < 1e-10
 
     def test_inverse_field(self):
+        # the inverse is built by the parameter: g(-2) undoes g(2)
         d = 12
-        g = sw_shift_matrix(d, 2.0)
-        assert np.abs(g.inverse - exact_shift(d, -2)).max() < 1e-10
+        inv = sw_shift_matrix(d, -2.0)
+        assert np.abs(inv - exact_shift(d, -2)).max() < 1e-10
+        assert np.abs(inv @ sw_shift_matrix(d, 2.0) - np.eye(d)).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [4, 16, 64, 1024])
+    def test_reverse_shift_is_transpose(self, d):
+        # D is even, so g(-z) = g(z)^T: the action w^{-T} f is w f
+        for z in (0.3, -1.7, 2.4, 0.05, -123.4):
+            gap = np.abs(sw_shift_matrix(d, -z) - sw_shift_matrix(d, z).T).max()
+            assert gap <= 1e-12, (z, gap)
 
     def test_odd_size_rejected(self):
         with pytest.raises(UnsupportedSizeError):
@@ -82,7 +91,7 @@ class TestSwGenerator:
     def test_matches_shift_derivative(self):
         d = 16
         h = 1e-5
-        fd = (sw_shift_matrix(d, h).matrix - sw_shift_matrix(d, -h).matrix) / (2 * h)
+        fd = (sw_shift_matrix(d, h) - sw_shift_matrix(d, -h)) / (2 * h)
         assert np.abs(sw_shift_generator(d) - fd).max() < 1e-6
 
     def test_acts_as_first_derivative_with_refinement(self):
@@ -101,21 +110,21 @@ class TestSwGenerator:
         d = 32
         l = sw_shift_generator(d)
         for z in (0.4, 1.0, 2.7):
-            g = sw_shift_matrix(d, z).matrix
+            g = sw_shift_matrix(d, z)
             assert np.linalg.norm(l @ g - g @ l) < 1e-9
 
 
 class TestRotationBilinear:
     def test_zero_angle_identity(self):
-        assert np.array_equal(rotation_matrix_bilinear(7, 7, 0.0).matrix, np.eye(49))
+        assert np.array_equal(rotation_matrix_bilinear(7, 7, 0.0), np.eye(49))
 
     def test_rows_at_most_four_weights_summing_to_one_or_less(self):
-        m = rotation_matrix_bilinear(9, 7, 0.7).matrix
+        m = rotation_matrix_bilinear(9, 7, 0.7)
         assert ((m > 0).sum(axis=1) <= 4).all()
         assert (m.sum(axis=1) <= 1.0 + 1e-12).all()
 
     def test_quarter_turn_permutation_fourth_power(self):
-        r = rotation_matrix_bilinear(7, 7, np.pi / 2).matrix
+        r = rotation_matrix_bilinear(7, 7, np.pi / 2)
         assert np.abs(np.linalg.matrix_power(r, 4) - np.eye(49)).max() < 1e-10
 
     def test_roundtrip_on_smooth_interior_fields(self):
@@ -124,17 +133,18 @@ class TestRotationBilinear:
         x, y = image_coords(7, 7)
         interior = (np.abs(x) <= 1.5) & (np.abs(y) <= 1.5)
         r = rotation_matrix_bilinear(7, 7, np.pi / 10)
+        r_inv = rotation_matrix_bilinear(7, 7, -np.pi / 10)
         linear = 0.1 * x + 0.2 * y + 0.3
-        assert np.abs((r.matrix @ (r.inverse @ linear) - linear))[interior].max() < 1e-12
+        assert np.abs((r @ (r_inv @ linear) - linear))[interior].max() < 1e-12
         quad = (x * x + y * y) / 50.0
-        assert np.abs((r.matrix @ (r.inverse @ quad) - quad))[interior].max() < 0.02
+        assert np.abs((r @ (r_inv @ quad) - quad))[interior].max() < 0.02
 
     def test_intensity_preserved_for_interior_supported_smooth_images(self):
         for n in (16, 24):
             x, y = image_coords(n, n)
             f = np.exp(-((x / (n / 6.0)) ** 2 + (y / (n / 6.0)) ** 2))
             for theta in (-np.pi / 4, 0.3, np.pi / 4):
-                ratio = (rotation_matrix_bilinear(n, n, theta).matrix @ f).sum() / f.sum()
+                ratio = (rotation_matrix_bilinear(n, n, theta) @ f).sum() / f.sum()
                 assert abs(ratio - 1.0) < 0.01
 
 
@@ -168,8 +178,8 @@ class TestSwRotationGenerator:
         x, y = image_coords(n, n)
         f = np.exp(-(((x - 2.0) ** 2 + (y + 1.0) ** 2) / 6.0))
         theta = 0.05
-        rp = rotation_matrix_bilinear(n, n, theta).matrix
-        rm = rotation_matrix_bilinear(n, n, -theta).matrix
+        rp = rotation_matrix_bilinear(n, n, theta)
+        rm = rotation_matrix_bilinear(n, n, -theta)
         lhs = (rp @ f - rm @ f) / (2 * theta)
         assert cosine_correlation(lhs[:, None], (l @ f)[:, None]) > 0.99
 

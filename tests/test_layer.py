@@ -9,7 +9,7 @@ from lconv.discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfi
 from lconv.groups import sw_shift_generator, sw_shift_matrix
 from lconv.layer import (LConvLayer, equivariance_residual,
                          gcn_propagation_matrix, gcn_reduction_check,
-                         group_action, load_checkpoint, save_checkpoint)
+                         load_checkpoint, save_checkpoint)
 from lconv.numerics import (DimensionError, FormatError, SeededRng,
                             finite_difference_gradient)
 
@@ -171,9 +171,22 @@ class TestEquivariance:
         layer = LConvLayer(rng.uniform(2, 2), [rng.uniform(2, 2)],
                            [sw_shift_generator(d)])
         f = rng.uniform(d, 2)
-        from lconv.groups import GroupElement
-        w = GroupElement(matrix=np.eye(d), inverse=np.eye(d))
-        assert equivariance_residual(f, w, layer) == 0.0
+        assert equivariance_residual(f, np.eye(d), layer) == 0.0
+
+    def test_residual_reads_w_times_f(self):
+        # a random w commutes with no generator, so the residual is large
+        # and pins the action: w acts on features as w @ f
+        rng = SeededRng(34)
+        d = 8
+        layer = LConvLayer(rng.uniform(2, 3), [rng.uniform(2, 2)],
+                           [sw_shift_generator(d)])
+        f = rng.uniform(d, 2)
+        w = rng.uniform_signed(1.0, (d, d))
+        qf = layer.forward(f)
+        expected = np.linalg.norm(layer.forward(w @ f) - w @ qf) / np.linalg.norm(qf)
+        got = equivariance_residual(f, w, layer)
+        assert expected > 0.1
+        assert abs(got - expected) <= 1e-12 * expected
 
     def test_sw_shift_commutes(self):
         rng = SeededRng(31)
@@ -196,7 +209,7 @@ class TestEquivariance:
         res = []
         for eta in etas:
             w = sw_shift_matrix(d, eta)
-            lhs = layer.forward(group_action(w, f))
+            lhs = layer.forward(w @ f)
             lin = (np.eye(d) + eta * gen) @ qf
             res.append(np.linalg.norm(lhs - lin) / np.linalg.norm(qf))
         slope = np.polyfit(np.log(etas), np.log(res), 1)[0]
@@ -233,24 +246,29 @@ class TestCheckpoint:
                            [rng.uniform(5, 5), rng.uniform(5, 5)])
         save_checkpoint(layer, tmp_path / "ckpt", extra={"epoch": 7})
         back, manifest = load_checkpoint(tmp_path / "ckpt")
-        assert manifest == {"generators": [{"form": "dense"}] * 2,
-                            "extra": {"epoch": 7}}
+        assert manifest == {"generators": 2, "extra": {"epoch": 7}}
         for a, b in zip([back.w0] + back.eps + back.generators,
                         [layer.w0] + layer.eps + layer.generators):
             assert np.array_equal(a, b)
         f = rng.uniform(5, 3)
         assert np.array_equal(back.forward(f), layer.forward(f))
 
-    def test_generator_entries_hold_only_form(self, tmp_path):
-        # the reader accepts exactly what save_checkpoint writes
+    def test_generators_is_a_count(self, tmp_path):
+        # the reader accepts exactly what save_checkpoint writes: the
+        # generator count, an int of at least 1
         save_checkpoint(LConvLayer(np.eye(1), [np.array([[0.5]])], [np.eye(4)]),
                         tmp_path / "ckpt", {})
         path = tmp_path / "ckpt" / "manifest.json"
         written = json.loads(path.read_text())
-        assert written["generators"] == [{"form": "dense"}]
-        for entry in ({"form": "dense", "label": "learned[0]"}, {"form": "low_rank"}):
-            path.write_text(json.dumps(dict(written, generators=[entry])))
-            with pytest.raises(FormatError, match="generator entry"):
+        assert written["generators"] == 1
+        # the list earlier versions wrote, and counts that are no int
+        for bad in ([{"form": "dense"}], 1.0, True, "1"):
+            path.write_text(json.dumps(dict(written, generators=bad)))
+            with pytest.raises(FormatError, match="'generators' is not of type int"):
+                load_checkpoint(tmp_path / "ckpt")
+        for bad in (0, -1):
+            path.write_text(json.dumps(dict(written, generators=bad)))
+            with pytest.raises(DimensionError, match="at least one generator"):
                 load_checkpoint(tmp_path / "ckpt")
         path.write_text(json.dumps(dict(written, has_bias=False, scalar_eps=False)))
         with pytest.raises(FormatError, match=(
