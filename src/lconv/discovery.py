@@ -209,22 +209,23 @@ def _phase(report, name):
 
 def gen_fixed_angle_dataset(task):
     """Columns are samples: X is d x N random pixels in [-0.5, 0.5),
-    Y = R(theta) X rounded as BLAS does on C-ordered X.  Train and test splits
-    use seeds (seed, seed + 1).  Train is stored sample-major (X.T C-contiguous)
-    so minibatches gather whole rows; test stays C-ordered for in-order column sums."""
+    Y = R(theta) X.  Train and test splits use seeds (seed, seed + 1).
+
+    Train is built in place, sample-major (column-major, so X.T is
+    C-contiguous and minibatches gather whole rows): X is drawn eight grid
+    rows at a time, each row the stream's next N values as in a C-ordered
+    draw, and `matmul` forms Y from C-ordered copies of its column blocks.
+    So both carry the bits of the C-ordered construction, and the peak
+    memory is about that of the returned arrays.  Test stays C-ordered
+    for in-order column sums."""
     r = rotation_matrix_bilinear(task.width, task.height, task.theta)
-    out = {}
-    for split, seed, n in (("train", task.seed, task.n_train),
-                           ("test", task.seed + 1, task.n_test)):
-        x = SeededRng(seed).uniform(task.d, n)
-        y = matmul(r, x)
-        if split == "train":
-            x = np.asfortranarray(x)
-            y = np.asfortranarray(y)
-        out[f"x_{split}"] = x
-        out[f"y_{split}"] = y
-    out["rotation"] = r
-    return out
+    rng = SeededRng(task.seed)
+    x = np.empty((task.d, task.n_train), order="F")
+    for i in range(0, task.d, 8):
+        x[i:i + 8] = rng.uniform(min(8, task.d - i), task.n_train)
+    x_test = SeededRng(task.seed + 1).uniform(task.d, task.n_test)
+    return {"x_train": x, "y_train": matmul(r, x),
+            "x_test": x_test, "y_test": matmul(r, x_test), "rotation": r}
 
 
 def _safe_corr(a, b):

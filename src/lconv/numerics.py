@@ -100,9 +100,23 @@ def matmul(a, b):
     rounding of the tail of a small product, which OpenBLAS computes
     with another kernel than a product above 10**6 multiply-adds.  A
     product too large for even an 8-wide block runs as one call.
+
+    A column-major b gives a column-major product with the bits of
+    matmul(a, np.ascontiguousarray(b)): each block of columns is copied
+    C-ordered for its call and its product written into the result, so
+    the only transients are one block of each.  When columns are not
+    blocked, all of b is copied C-ordered.
     """
     (m, k), n = a.shape, b.shape[1]
     step = _block(k * min(m, n))
+    if b.flags.f_contiguous and not b.flags.c_contiguous:
+        out = np.empty((m, n), np.result_type(a, b), order="F")
+        if 0 < step < n and n >= m:
+            for s in range(0, n, step):
+                out[:, s:s + step] = a @ np.ascontiguousarray(b[:, s:s + step])
+        else:
+            out[...] = matmul(a, np.ascontiguousarray(b))
+        return out
     if not step or step >= max(m, n):
         return a @ b
     out = np.empty((m, n), np.result_type(a, b))
@@ -212,7 +226,9 @@ class SeededRng:
     def uniform(self, rows, cols, low=-0.5, high=0.5):
         """Uniform matrix in [low, high) derived from uniform [0, 1) doubles."""
         u = self._gen.random((rows, cols))
-        return low + (high - low) * u
+        u *= high - low     # in place: the roundings of low + (high - low) * u
+        u += low
+        return u
 
     def uniform_signed(self, scale, shape):
         """Uniform in [-scale, scale) with the same conversion convention."""

@@ -159,18 +159,33 @@ class TestFixedAngleDataset:
 
     def test_training_split_stored_sample_major(self):
         # minibatches gather whole rows of x_train.T; the values are those of
-        # the C-ordered draw, and y = R x as BLAS rounds it on that draw
+        # the C-ordered draw, and y = R x as matmul rounds it on that draw,
+        # over its 216-column blocks: edges, ragged tails and n < d
         from lconv.groups import rotation_matrix_bilinear
-        task = FixedAngleTask(n_train=300, n_test=20, seed=6)
-        data = gen_fixed_angle_dataset(task)
-        x = SeededRng(6).uniform(task.d, 300)
-        r = rotation_matrix_bilinear(7, 7, task.theta)
-        assert data["x_train"].T.flags.c_contiguous
-        assert data["y_train"].T.flags.c_contiguous
-        assert sha256(data["x_train"]) == sha256(x)
-        assert sha256(data["y_train"]) == sha256(r @ x)
-        # the test split is read in column ranges and keeps its C order
-        assert data["x_test"].flags.c_contiguous and data["y_test"].flags.c_contiguous
+        from lconv.numerics import matmul
+        r = rotation_matrix_bilinear(7, 7, FixedAngleTask().theta)
+        for n_train in (1, 48, 100, 216, 217, 300, 433, 5000):
+            data = gen_fixed_angle_dataset(FixedAngleTask(n_train=n_train, n_test=20, seed=6))
+            x = SeededRng(6).uniform(49, n_train)
+            assert data["x_train"].T.flags.c_contiguous, n_train
+            assert data["y_train"].T.flags.c_contiguous, n_train
+            assert sha256(data["x_train"]) == sha256(x), n_train
+            assert sha256(data["y_train"]) == sha256(matmul(r, x)), n_train
+            # the test split is read in column ranges and keeps its C order
+            assert data["x_test"].flags.c_contiguous and data["y_test"].flags.c_contiguous
+
+    def test_training_split_built_in_place(self):
+        # X and Y are written straight into their sample-major arrays: no
+        # full-size C-ordered draw, product or copy lives beside them
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            data = gen_fixed_angle_dataset(FixedAngleTask(n_train=20000, n_test=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in data.values())
+        assert peak <= 1.25 * returned, (peak, returned)
 
     def test_rotate_images_matrix_agreement(self):
         from lconv.groups import rotation_matrix_bilinear

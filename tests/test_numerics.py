@@ -118,6 +118,15 @@ class TestSeededRng:
     def test_different_seeds_differ(self):
         assert not np.array_equal(SeededRng(1).uniform(5, 5), SeededRng(2).uniform(5, 5))
 
+    @pytest.mark.parametrize("rows, cols, low, high", [
+        (1, 1, -0.5, 0.5), (8, 50, -0.5, 0.5), (49, 3, 0.0, np.pi / 3),
+        (7, 11, -3.0, 1e-3), (200, 9, 2.5, 7.25)])
+    def test_uniform_bits_equal_reference_expression(self, rows, cols, low, high):
+        # scaled in place: the same two roundings as low + (high - low) * u
+        u = np.random.Generator(np.random.PCG64(17)).random((rows, cols))
+        got = SeededRng(17).uniform(rows, cols, low=low, high=high)
+        assert got.tobytes() == (low + (high - low) * u).tobytes()
+
 
 class TestMatrixIO:
     def test_identity_roundtrip_bitexact(self, tmp_path):

@@ -70,6 +70,17 @@ class TestMatmul:
         assert numerics._block(300 * 300) == 0
         assert np.array_equal(matmul(a, b), a @ b)
 
+    @pytest.mark.parametrize("m, k, n", [(49, 49, 5000), (49, 49, 433), (49, 49, 216),
+                                         (49, 49, 30), (300, 300, 400), (400, 10, 20)])
+    def test_column_major_b_gives_column_major_product(self, m, k, n):
+        # column blocks, a ragged tail, one block, n < m, and too large for a block
+        rng = SeededRng(n)
+        a = rng.uniform(m, k)
+        b = rng.uniform(k, n)
+        out = matmul(a, np.asfortranarray(b))
+        assert out.flags.f_contiguous
+        assert out.tobytes("F") == np.asfortranarray(matmul(a, b)).tobytes("F")
+
     def test_empty_operands(self):
         assert matmul(np.ones((49, 49)), np.ones((49, 0))).shape == (49, 0)
         assert matmul(np.ones((0, 10)), np.ones((10, 10))).shape == (0, 10)
