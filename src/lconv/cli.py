@@ -27,13 +27,13 @@ import numpy as np
 from . import __version__
 from .approx import shift_approx_sweep
 from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
-                        TrainingDivergedError, _check_frozen, _check_resume,
-                        _eval_linear, gen_angle_pairs_dataset, gen_fixed_angle_dataset,
+                        TrainingDivergedError, _check_run, _eval_linear, _load_model,
+                        gen_angle_pairs_dataset, gen_fixed_angle_dataset,
                         load_train_state, train_angle_regression, train_fixed_angle)
 from .fieldtheory import (field_terms, helmholtz_convergence, mse_loss_decomposed,
                           mse_loss_direct)
 from .groups import _check_even, sw_shift_generator
-from .layer import LConvLayer, load_checkpoint
+from .layer import LConvLayer
 from .numerics import (LconvError, SeededRng, check_finite, check_value, write_csv,
                        write_matrix, read_matrix)
 
@@ -182,17 +182,11 @@ def cmd_train(cfg):
     task = _build(_choose(_TRAIN_TASKS, cfg, "task"), cfg,
                   own=("task", "optimizer", "out_dir", "resume"), required=("optimizer",))
     opt = _build(OptimizerConfig, cfg["optimizer"])
-    fixed = isinstance(task, FixedAngleTask)
-    if min(task.width, task.height) < 3:
-        raise ConfigError("the reference rotation generator needs width, height >= 3")
-    if fixed and task.n_train < task.d:
-        raise ConfigError(f"the least-squares oracle needs n_train >= d = {task.d}")
-    resume = None
-    if "resume" in cfg:
-        with _config_errors():
-            resume = load_train_state(task, cfg["resume"])
-            _check_resume(resume, opt)
+    with _config_errors():
+        resume = load_train_state(task, cfg["resume"]) if "resume" in cfg else None
+        _check_run(task, opt, resume)
     out_dir = _echo_run("train", dict(cfg, seed=task.seed))
+    fixed = isinstance(task, FixedAngleTask)
     train = train_fixed_angle if fixed else train_angle_regression
     try:
         report = train(task, opt, resume=resume,
@@ -208,11 +202,7 @@ def cmd_train(cfg):
 def cmd_eval(cfg):
     _take(cfg, ("checkpoint", "data_dir", "out_dir"), required=("checkpoint", "data_dir"))
     with _config_errors():
-        layer, manifest = load_checkpoint(cfg["checkpoint"])
-        if manifest["extra"].get("head"):
-            raise ConfigError(f"{cfg['checkpoint']} (head {manifest['extra']['head']!r})"
-                              " is no fixed-angle checkpoint, the only kind eval scores")
-        _check_frozen(FixedAngleTask(), layer, cfg["checkpoint"])
+        layer, extra, _ = _load_model(FixedAngleTask(), cfg["checkpoint"])
     x = read_matrix(os.path.join(cfg["data_dir"], "X_test.mat"))
     y = read_matrix(os.path.join(cfg["data_dir"], "Y_test.mat"))
     if x.shape != y.shape or x.shape[0] != layer.d or not x.size:
@@ -220,7 +210,7 @@ def cmd_eval(cfg):
     out_dir = _echo_run("eval", cfg)
     mse = _eval_linear(layer, x, y)
     _write_json(os.path.join(out_dir, "eval.json"),
-                {"test_mse": mse, "checkpoint_epoch": manifest["extra"].get("epoch")})
+                {"test_mse": mse, "checkpoint_epoch": extra.get("epoch")})
     print(f"test_mse {mse:.6e}")
     return EXIT_OK
 

@@ -40,11 +40,12 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .groups import _bilinear_resample, rotation_matrix_bilinear, sw_rotation_generator
+from .groups import (UnsupportedSizeError, _bilinear_resample, rotation_matrix_bilinear,
+                     sw_rotation_generator)
 from .layer import LConvLayer, load_checkpoint, save_checkpoint
-from .numerics import (FormatError, LconvError, SeededRng, check_value,
-                       cosine_correlation, frobenius, least_squares_solve, matmul,
-                       read_matrix, write_matrix)
+from .numerics import (DegenerateInputError, FormatError, LconvError, SeededRng,
+                       check_value, cosine_correlation, frobenius, least_squares_solve,
+                       matmul, read_matrix, write_matrix)
 
 
 class NonFiniteGradientError(LconvError):
@@ -250,49 +251,58 @@ def save_train_state(directory, layer, params, state, next_epoch):
                          np.atleast_2d(state[moment][name]))
 
 
-def _frozen(task):
-    """The layer values each pipeline holds fixed: W0 = eps = I_1 on the
-    single fixed-angle channel, W0 = I_m over the m angle-regression
-    copies (whose eps is trained)."""
-    if isinstance(task, FixedAngleTask):
-        return {"w0": np.eye(1), "eps": np.eye(1)}
-    return {"w0": np.eye(task.m_copies)}
-
-
-def _check_frozen(task, layer, directory):
-    """Raise FormatError unless checkpoint `directory`'s layer holds the
-    values `task` freezes, as the layer trained and saved for it did."""
-    held = {"w0": layer.w0, "eps": layer.eps[0]}
-    if not all(np.array_equal(held[k], v) for k, v in _frozen(task).items()):
-        raise FormatError(f"{directory}: W0.mat or eps_0.mat differs from the "
-                          "value the task holds frozen")
-
-
-def _init_params(task):
-    """The trained parameters at epoch 0, drawn from the task seed + 2 stream."""
+def _model(task):
+    """`task`'s model: its trained parameters at epoch 0, drawn from the
+    task seed + 2 stream, and the layer values it holds fixed: W0 = eps =
+    I_1 on the single fixed-angle channel, W0 = I_m over the m
+    angle-regression copies (whose eps is trained)."""
     rng = SeededRng(task.seed + 2)
     if isinstance(task, FixedAngleTask):
-        return {"gen": rng.uniform_signed(1.0 / np.sqrt(task.d), (task.d, task.d))}
-    return _angle_params(task, rng)
+        return ({"gen": rng.uniform_signed(1.0 / np.sqrt(task.d), (task.d, task.d))},
+                {"w0": np.eye(1), "eps": np.eye(1)})
+    return _angle_params(task, rng), {"w0": np.eye(task.m_copies)}
+
+
+def _check_run(task, opt, resume):
+    """Raise LconvError unless a run of `task` under `opt` from `resume`
+    (a `load_train_state` triple or None) can finish: the reference
+    generator needs grid sides >= 3, the fixed-angle LS oracle n_train >= d,
+    and a resume past opt.epochs would pass its params off as trained for fewer."""
+    if min(task.width, task.height) < 3:
+        raise UnsupportedSizeError("sw_rotation_generator needs width, height >= 3")
+    if isinstance(task, FixedAngleTask) and task.n_train < task.d:
+        raise DegenerateInputError(f"the LS oracle needs n_train >= d = {task.d}")
+    if resume and resume[2] > opt.epochs:
+        raise LconvError(f"resume at epoch {resume[2]} is past epochs = {opt.epochs}")
+
+
+def _load_model(task, directory):
+    """(layer, manifest extra, `_model` parameters of `task`) of checkpoint
+    `directory`; raises LconvError unless its layer is `task`'s model: one
+    generator, the task's head and the values the task holds frozen."""
+    layer, manifest = load_checkpoint(directory)
+    extra = manifest["extra"]
+    like, frozen = _model(task)
+    head = [k for k in like if k not in ("gen", "eps")]
+    if layer.n_generators != 1 or extra.get("head", []) != head:
+        raise LconvError(f"{directory} holds no checkpoint of the "
+                         f"{type(task).__name__} model")
+    held = {"w0": layer.w0, "eps": layer.eps[0]}
+    if not all(np.array_equal(held[k], v) for k, v in frozen.items()):
+        raise FormatError(f"{directory}: W0.mat or eps_0.mat differs from the "
+                          "value the task holds frozen")
+    return layer, extra, like
 
 
 def load_train_state(task, directory):
     """Inverse of save_train_state for `task`'s model: (params, Adam
     moments, first epoch), the `resume` argument of the pipelines.
-    The task declares each parameter's name and shape and, in `_frozen`,
-    the fixed values; an array that does not fit them, or a checkpoint of
-    another model, raises LconvError."""
-    layer, manifest = load_checkpoint(directory)
-    extra = manifest["extra"]
+    `_model` declares each parameter's name and shape and the fixed
+    values; an array that does not fit them, or a checkpoint of another
+    model, raises LconvError."""
+    layer, extra, like = _load_model(task, directory)
     if not all(type(extra.get(k)) is int and extra[k] >= 0 for k in ("epoch", "adam_t")):
         raise FormatError(f"{directory}: manifest extra needs integers epoch, adam_t >= 0")
-    like = _init_params(task)
-    head = [k for k in like if k not in ("gen", "eps")]
-    if layer.n_generators != 1 or extra.get("head", []) != head:
-        raise LconvError(f"{directory} holds no checkpoint of the "
-                         f"{type(task).__name__} model")
-    _check_frozen(task, layer, directory)
-
     saved = {"gen": layer.generators[0], "eps": layer.eps[0]}
 
     def read(name, file):
@@ -310,30 +320,33 @@ def load_train_state(task, directory):
     return params, moments, extra["epoch"]
 
 
-def _check_resume(resume, opt):
-    """Raise LconvError when the `load_train_state` triple `resume` is past
-    opt.epochs, which would pass its parameters off as trained for fewer."""
-    if resume and resume[2] > opt.epochs:
-        raise LconvError(f"resume at epoch {resume[2]} is past epochs = {opt.epochs}")
-
-
-def _start(task, resume):
-    """(params, Adam state, first epoch): fresh at epoch 0, or from the
-    `load_train_state` triple `resume`, whose params it takes over."""
-    params, moments, start_epoch = resume or (_init_params(task), None, 0)
-    return params, adam_init(params, moments), start_epoch
-
-
-def _shared_layer(params, frozen):
-    """The layer trained through `params`, with `_frozen` values `frozen`:
-    it holds params["gen"] and eps (trained in `params` or frozen)
-    themselves, as Adam updates the trained ones in place; a copy would
-    freeze them."""
+def _open_run(kind, task, opt, resume):
+    """Check a run (`_check_run`) and start it: (report, params, Adam
+    state, first epoch, layer).  The params are fresh at epoch 0, or
+    those of the `load_train_state` triple `resume`.  The layer holds
+    params["gen"] and eps (trained in params or frozen) themselves, as
+    Adam updates the trained ones in place; a copy would freeze them."""
+    _check_run(task, opt, resume)
+    report = TrainReport(kind=kind, seed=task.seed,
+                         config={"task": asdict(task), "optimizer": asdict(opt)})
+    init, frozen = _model(task)
+    params, moments, start_epoch = resume or (init, None, 0)
+    state = adam_init(params, moments)
     values = {**params, **frozen}
     layer = LConvLayer(values["w0"], [values["eps"]], [values["gen"]])
     if layer.generators[0] is not values["gen"] or layer.eps[0] is not values["eps"]:
         raise RuntimeError("layer copied a trained parameter instead of sharing it")
-    return layer
+    return report, params, state, start_epoch, layer
+
+
+def _close_run(report, layer, params, state, opt, checkpoint_dir):
+    """Finish a run: save its checkpoint when `checkpoint_dir` is given,
+    stamp its wall-clock time and return its report."""
+    if checkpoint_dir:
+        with _phase(report, "checkpoint"):
+            save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
+    report.wall_clock_sec = time.perf_counter() - report.started
+    return report
 
 
 def _fit(report, state, opt, start_epoch, n, batch, evaluate):
@@ -379,12 +392,12 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     Minimizes mean ||(I + L) f - R f||^2 over the training set with the
     residual path frozen (W0 = 1, eps = 1).  Reports the cosine
     correlation of the learned L against the least-squares oracle
-    R_ls - I and against the exact R - I.  Both references are built
-    before training, so a grid side below 3 or a training split the
-    oracle cannot use (fewer samples than pixels) fails at once.
+    R_ls - I and against the exact R - I.  `_check_run` rejects a grid
+    side below 3, or a training split the oracle cannot use (fewer
+    samples than pixels), before the data are made.
     """
-    _check_resume(resume, opt)
-    report = TrainReport(kind="fixed-angle", config=_echo(task, opt), seed=task.seed)
+    report, params, state, start_epoch, layer = _open_run("fixed-angle", task,
+                                                          opt, resume)
     gt = sw_rotation_generator(task.width, task.height)
     with _phase(report, "data"):
         data = gen_fixed_angle_dataset(task)
@@ -393,9 +406,6 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     d = task.d
     with _phase(report, "ls_oracle"):
         r_ls = least_squares_solve(x_train, y_train)
-
-    params, state, start_epoch = _start(task, resume)
-    layer = _shared_layer(params, _frozen(task))
 
     x_rows, y_rows = x_train.T, y_train.T
 
@@ -422,11 +432,7 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
         "vs_sw_rotation_generator": _safe_corr(learned, gt),
     }
     report.arrays = {"generator": learned.copy(), "ls_rotation": r_ls}
-    if checkpoint_dir:
-        with _phase(report, "checkpoint"):
-            save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
-    report.wall_clock_sec = time.perf_counter() - report.started
-    return report
+    return _close_run(report, layer, params, state, opt, checkpoint_dir)
 
 
 def _eval_linear(layer, x, y, chunk=4096):
@@ -528,18 +534,14 @@ def _angle_backward(params, layer, y, theta, pred, stash):
 
 def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     """Learn the rotation generator by regressing the angle between pairs."""
-    _check_resume(resume, opt)
-    report = TrainReport(kind="angle-regression", config=_echo(task, opt),
-                         seed=task.seed)
+    report, params, state, start_epoch, layer = _open_run("angle-regression", task,
+                                                          opt, resume)
     gt = sw_rotation_generator(task.width, task.height)
     with _phase(report, "data"):
         data = gen_angle_pairs_dataset(task)
     m, t = task.m_copies, task.recursions
     f_train, y_train = data["f_train"], data["y_train"]
     theta_train = data["theta_train"]
-
-    params, state, start_epoch = _start(task, resume)
-    layer = _shared_layer(params, _frozen(task))
 
     def batch(idx):
         fb, yb, tb = f_train[idx], y_train[idx], theta_train[idx]
@@ -556,11 +558,7 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     }
     report.arrays = {"generator": params["gen"].copy(),
                      "eps": params["eps"].copy()}
-    if checkpoint_dir:
-        with _phase(report, "checkpoint"):
-            save_train_state(checkpoint_dir, layer, params, state, opt.epochs)
-    report.wall_clock_sec = time.perf_counter() - report.started
-    return report
+    return _close_run(report, layer, params, state, opt, checkpoint_dir)
 
 
 def _eval_angle(params, layer, data, t, m, chunk=2048):
@@ -573,7 +571,3 @@ def _eval_angle(params, layer, data, t, m, chunk=2048):
         diff = pred - data["theta_test"][sl]
         total += float(np.sum(diff * diff))
     return total / n
-
-
-def _echo(task, opt):
-    return {"task": asdict(task), "optimizer": asdict(opt)}

@@ -386,6 +386,13 @@ def _overwrite(name, shape, value=0.0):
     return lambda ckpt: write_matrix(ckpt / name, np.full(shape, value))
 
 
+def _second_generator(ckpt):
+    """An edit that adds a second generator, with its eps, to the layer."""
+    _rewrite_manifest(lambda m: json.dumps(dict(m, generators=2)))(ckpt)
+    write_matrix(ckpt / "eps_1.mat", np.eye(1))
+    write_matrix(ckpt / "gen_1.mat", np.full((49, 49), 0.01))
+
+
 # name: (trained run whose checkpoint is copied, edit of the copy, task resuming it)
 CHECKPOINT_EDITS = {
     **{name: ("run", _rewrite_manifest(text), FIXED)
@@ -405,6 +412,7 @@ CHECKPOINT_EDITS = {
     "head-v1-size": ("run_angle", _overwrite("head_v1.mat", (10, 4)), ANGLE),
     "adam-m-v1-size": ("run_angle", _overwrite("adam_m_v1.mat", (10, 4)), ANGLE),
     "angle-into-fixed": ("run_angle", lambda ckpt: None, FIXED),
+    "two-generators": ("run", _second_generator, FIXED),
 }
 
 
@@ -440,7 +448,7 @@ def _run_on_copy(tmp_path, trained, command, saved, change, task):
 @pytest.mark.parametrize("command, edit", [
     *(("eval", e) for e in MANIFEST_EDITS if e != "no-epoch"),
     *(("eval", e) for e in ("scalar-eps-0x3", "generator-49x3", "w0-2x1",
-                            "w0-zero", "eps-half")),
+                            "w0-zero", "eps-half", "two-generators")),
     *(("resume", e) for e in CHECKPOINT_EDITS),
 ])
 def test_malformed_checkpoint_rejected_before_writing(tmp_path, trained, command, edit):

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from lconv import discovery
 from lconv.discovery import (ADAM_B1, ADAM_B2, ADAM_EPS, AngleRegressionTask,
                              FixedAngleTask, NonFiniteGradientError, OptimizerConfig,
                              adam_init, adam_step, gen_angle_pairs_dataset,
                              gen_fixed_angle_dataset, load_train_state,
                              rotate_images, save_train_state,
                              train_fixed_angle, train_angle_regression,
-                             _angle_forward, _angle_params, _frozen,
-                             _shared_layer)
+                             _angle_forward, _angle_params, _open_run)
 from lconv.groups import UnsupportedSizeError
 from lconv.layer import LConvLayer
 from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
@@ -369,18 +369,20 @@ class TestFixedAngleTraining:
     def test_oracle_precondition_fails_before_training(self, monkeypatch):
         # the least-squares oracle needs n_train >= d = 49, and the
         # reference rotation generator both sides >= 3; neither depends on
-        # training, so the run must stop before the first step
-        calls = []
+        # training, so the run must stop before its data are made
+        calls, made = [], []
         forward = LConvLayer.forward
         monkeypatch.setattr(LConvLayer, "forward",
                             lambda self, f: calls.append(1) or forward(self, f))
+        for name in ("gen_fixed_angle_dataset", "gen_angle_pairs_dataset"):
+            monkeypatch.setattr(f"lconv.discovery.{name}", made.append)
         task = FixedAngleTask(n_train=20, n_test=10, seed=1)
         with pytest.raises(DegenerateInputError):
             train_fixed_angle(task, OptimizerConfig(epochs=2))
         task = AngleRegressionTask(width=2, n_train=20, n_test=10, seed=1)
         with pytest.raises(UnsupportedSizeError):
             train_angle_regression(task, OptimizerConfig(epochs=2))
-        assert calls == []
+        assert calls == [] and made == []
 
 
 class TestTrainedGeneratorReachesLayer:
@@ -402,22 +404,26 @@ class TestTrainedGeneratorReachesLayer:
 
 
 class TestSharedLayer:
+    # the layer a run starts with holds the parameters Adam updates in place
     def test_holds_the_trained_parameters(self):
-        rng = SeededRng(45)
-        params = {"gen": rng.uniform(6, 6), "eps": rng.uniform(3, 3)}
-        layer = _shared_layer(params, {"w0": np.eye(3)})
+        opt = OptimizerConfig()
+        task = AngleRegressionTask(m_copies=3, seed=45)
+        _, params, state, _, layer = _open_run("angle-regression", task, opt, None)
         assert layer.generators[0] is params["gen"] and layer.eps[0] is params["eps"]
+        assert np.shares_memory(layer.eps[0], state["flat"])
         # the fixed-angle task freezes eps at the 1 x 1 identity
-        frozen = _frozen(FixedAngleTask())
-        layer = _shared_layer({"gen": params["gen"]}, frozen)
-        assert layer.generators[0] is params["gen"] and layer.eps[0] is frozen["eps"]
+        _, params, state, _, layer = _open_run("fixed-angle", FixedAngleTask(), opt, None)
+        assert layer.generators[0] is params["gen"] and "eps" not in params
+        assert np.shares_memory(layer.generators[0], state["flat"])
         assert np.array_equal(layer.eps[0], np.eye(1))
 
-    def test_copied_parameter_rejected(self):
+    def test_copied_parameter_rejected(self, monkeypatch):
         # float32 eps is converted, i.e. copied, by the layer
-        params = {"gen": np.eye(4), "eps": np.eye(2, dtype=np.float32)}
+        model = discovery._model
+        monkeypatch.setattr(discovery, "_model", lambda task: (
+            model(task)[0], {"w0": np.eye(1), "eps": np.eye(1, dtype=np.float32)}))
         with pytest.raises(RuntimeError, match="copied"):
-            _shared_layer(params, {"w0": np.eye(2)})
+            _open_run("fixed-angle", FixedAngleTask(), OptimizerConfig(), None)
 
 
 class TestAngleRegressionPieces:

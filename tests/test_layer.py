@@ -73,6 +73,10 @@ class TestForward:
         with pytest.raises(DimensionError, match="d x d"):
             LConvLayer(np.eye(1), [np.eye(1)] * len(gens), gens)
 
+    def test_one_eps_per_generator(self):
+        with pytest.raises(DimensionError, match="2 eps blocks vs 1 generators"):
+            LConvLayer(np.eye(1), [np.eye(1), np.eye(1)], [np.eye(3)])
+
     def test_needs_a_generator(self):
         with pytest.raises(DimensionError, match="at least one generator"):
             LConvLayer(np.eye(2), [], [])
@@ -275,6 +279,12 @@ class TestCheckpoint:
                 r"has keys \['extra', 'generators', 'has_bias', 'scalar_eps'\], "
                 r"expected exactly \['extra', 'generators'\]")):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_manifest_must_be_an_object(self, tmp_path):
+        save_checkpoint(LConvLayer(np.eye(1), [np.eye(1)], [np.eye(4)]), tmp_path, {})
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(FormatError, match="holds no JSON object"):
+            load_checkpoint(tmp_path)
 
 
 def grid_major(a):

@@ -89,6 +89,22 @@ class TestLeastSquares:
             least_squares_solve(x, np.ones((3, 10)))
         assert err.value.cond > 1e12 or not np.isfinite(err.value.cond)
 
+    def test_ill_conditioned_design_takes_the_svd_path(self, monkeypatch):
+        # singular values 1 .. 1e-5 put cond(X X^T) at 1e10, between the
+        # 1e8 fallback and the 1e12 rejection: the normal equations would
+        # miss R by about 1e-7, the orthogonal solve recovers it to 1e-12
+        rng = SeededRng(9)
+        u, _ = np.linalg.qr(rng.uniform(6, 6))
+        v, _ = np.linalg.qr(rng.uniform(40, 6))
+        x = u @ np.diag(np.logspace(0, -5, 6)) @ v.T
+        r0 = rng.uniform(6, 6)
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        r = least_squares_solve(x, r0 @ x)
+        assert calls == [1]
+        assert np.abs(r - r0).max() < 1e-11
+
 
 class TestFiniteDifference:
     def test_quadratic(self):
@@ -149,6 +165,24 @@ class TestMatrixIO:
         with pytest.raises(FormatError) as err:
             read_matrix(p)
         assert err.value.offset == len(raw) - 8
+
+    def test_truncated_header_reports_bytes_read(self, tmp_path):
+        p = tmp_path / "short.mat"
+        write_matrix(p, np.eye(2))
+        p.write_bytes(p.read_bytes()[:20])
+        with pytest.raises(FormatError, match="truncated header") as err:
+            read_matrix(p)
+        assert err.value.offset == 20
+
+    def test_unsupported_version_reports_offset(self, tmp_path):
+        p = tmp_path / "v2.mat"
+        write_matrix(p, np.eye(2))
+        raw = bytearray(p.read_bytes())
+        raw[8] = 2   # the version field follows the 8-byte magic
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported version 2") as err:
+            read_matrix(p)
+        assert err.value.offset == 8
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.mat"
