@@ -117,6 +117,7 @@ def shift_approx_sweep(d, z, n_values):
     scored by its first column, ||A - E||_F = sqrt(d) ||a - e|| and the
     factor d cancels in the cosine, with no d x d pass after A is built.
     """
+    check_value("z", z, float)
     gen = sw_shift_generator(d)
     e = sw_shift_matrix(d, z)[:, :1]
     rows = []

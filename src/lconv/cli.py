@@ -3,13 +3,13 @@
 Subcommands: gen-data, train, eval, approx, theory, version.  Each takes
 a JSON config file; --seed and --out-dir flags override config keys, and
 the LCONV_OUT environment variable overrides the config's out_dir (flags
-beat it).  Task and optimizer keys are the fields of their discovery
-dataclasses, which check their values; unknown keys, and keys the chosen
-task or check does not read, are rejected.  A config is fully checked
-before anything is written.  Every run echoes its full config plus the
-library version into out_dir/run_config.json, and all outputs are
-bit-reproducible for a fixed (config, seed): timings go to a separate
-timing.json so the stable artifacts hash identically across reruns.
+beat it).  Unknown keys, and keys the chosen task or check does not read,
+are rejected; every value is checked by the library function that uses
+it, whose LconvError is a config error.  Each command computes or checks
+all it can before it echoes its full config and the library version into
+out_dir/run_config.json, so a config error writes nothing; eval, approx
+and theory write their result after the echo.  Outputs are bit-identical
+for a fixed (config, seed): timings go to a separate timing.json.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -30,12 +30,9 @@ from .discovery import (AngleRegressionTask, FixedAngleTask, OptimizerConfig,
                         TrainingDivergedError, _check_run, _eval_linear, _load_model,
                         gen_angle_pairs_dataset, gen_fixed_angle_dataset,
                         load_train_state, train_angle_regression, train_fixed_angle)
-from .fieldtheory import (field_terms, helmholtz_convergence, mse_loss_decomposed,
-                          mse_loss_direct)
-from .groups import _check_even, sw_shift_generator
-from .layer import LConvLayer
-from .numerics import (LconvError, SeededRng, check_finite, check_value, write_csv,
-                       write_matrix, read_matrix)
+from .fieldtheory import decomposition_check, helmholtz_convergence
+from .numerics import (LconvError, check_finite, check_value, write_csv, write_matrix,
+                       read_matrix)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,10 +108,10 @@ def _build(cls, cfg, own=(), required=(), skip=()):
         return cls(**{k: cfg[k] for k in names if k in cfg})
 
 
-def _ints(key, values, low=None):
+def _list(key, values):
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
-    return [check_value(key, v, int, low) for v in values]
+    return values
 
 
 def _config_hash(cfg):
@@ -205,10 +202,9 @@ def cmd_eval(cfg):
         layer, extra, _ = _load_model(FixedAngleTask(), cfg["checkpoint"])
     x = read_matrix(os.path.join(cfg["data_dir"], "X_test.mat"))
     y = read_matrix(os.path.join(cfg["data_dir"], "Y_test.mat"))
-    if x.shape != y.shape or x.shape[0] != layer.d or not x.size:
-        raise ConfigError(f"X_test {x.shape}, Y_test {y.shape} do not fit d = {layer.d}")
+    with _config_errors():
+        mse = _eval_linear(layer, x, y)
     out_dir = _echo_run("eval", cfg)
-    mse = _eval_linear(layer, x, y)
     _write_json(os.path.join(out_dir, "eval.json"),
                 {"test_mse": mse, "checkpoint_epoch": extra.get("epoch")})
     print(f"test_mse {mse:.6e}")
@@ -218,14 +214,11 @@ def cmd_eval(cfg):
 def cmd_approx(cfg):
     _take(cfg, ("d_sweep", "z", "n_values", "out_dir"), required=("d_sweep",))
     with _config_errors():
-        ds = _ints("d_sweep", cfg["d_sweep"])
-        for d in ds:
-            _check_even(d, "approx")
-        n_values = _ints("n_values", cfg.get("n_values", [4, 8, 16, 32, 64, 128, 256]), 1)
-        z = check_value("z", cfg.get("z", 2.0), float)
+        n_values = _list("n_values", cfg.get("n_values", [4, 8, 16, 32, 64, 128, 256]))
+        tables = [(d, shift_approx_sweep(d, cfg.get("z", 2.0), n_values))
+                  for d in _list("d_sweep", cfg["d_sweep"])]
     out_dir = _echo_run("approx", cfg)
-    for d in ds:
-        rows = shift_approx_sweep(int(d), z, n_values)
+    for d, rows in tables:
         _write_csv(os.path.join(out_dir, f"shift_approx_d{d}.csv"),
                    ("n", "eta", "frobenius_error", "correlation"), rows)
     return EXIT_OK
@@ -236,36 +229,19 @@ def cmd_theory(cfg):
     _take(cfg, [*defaults, "check", "seed", "out_dir"])
     values = {**defaults, "seed": 0, **cfg}
     with _config_errors():
-        check_value("seed", values["seed"], int)
         if cfg["check"] == "helmholtz":
-            # the Noether divergence nests two central differences
-            _ints("sizes", values["sizes"], 5)
-            if check_value("eps_scale", values["eps_scale"], float) == 0:
-                raise ConfigError("eps_scale must be nonzero")
+            check_value("seed", values["seed"], int)
+            rows = helmholtz_convergence(_list("sizes", values["sizes"]), values["eps_scale"])
         else:
-            _check_even(check_value("grid_size", values["grid_size"], int), "theory")
-            check_value("channels", values["channels"], int, 1)
-            check_value("instances", values["instances"], int, 1)
+            worst = decomposition_check(values["grid_size"], values["channels"],
+                                        values["instances"], values["seed"])
     out_dir = _echo_run("theory", dict(cfg, seed=values["seed"]))
     if cfg["check"] == "helmholtz":
-        rows = helmholtz_convergence(values["sizes"], values["eps_scale"])
         _write_csv(os.path.join(out_dir, "helmholtz.csv"),
                    ("grid_size", "el_residual", "noether_divergence"), rows)
         for row in rows:
             print("grid %4d  el %.3e  noether %.3e" % row)
         return EXIT_OK
-    d, m = values["grid_size"], values["channels"]
-    rng = SeededRng(values["seed"])
-    gen = sw_shift_generator(d)
-    worst = 0.0
-    for _ in range(values["instances"]):
-        layer = LConvLayer(rng.uniform_signed(0.8, (m, m)),
-                           [rng.uniform_signed(0.4, ()) * np.eye(m)], [gen])
-        phi = rng.uniform(d, m)
-        terms = field_terms(layer)
-        direct = mse_loss_direct(phi, layer)
-        dec = mse_loss_decomposed(phi, terms, [gen])
-        worst = max(worst, abs(direct - dec) / max(direct, 1e-300))
     print(f"max relative decomposition gap over instances: {worst:.3e}")
     _write_json(os.path.join(out_dir, "decomposition.json"),
                 {"max_rel_gap": worst})

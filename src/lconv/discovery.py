@@ -43,9 +43,9 @@ import numpy as np
 from .groups import (UnsupportedSizeError, _bilinear_resample, rotation_matrix_bilinear,
                      sw_rotation_generator)
 from .layer import LConvLayer, load_checkpoint, save_checkpoint
-from .numerics import (DegenerateInputError, FormatError, LconvError, SeededRng,
-                       check_value, cosine_correlation, frobenius, least_squares_solve,
-                       matmul, read_matrix, write_matrix)
+from .numerics import (DegenerateInputError, DimensionError, FormatError, LconvError,
+                       SeededRng, check_value, cosine_correlation, frobenius,
+                       least_squares_solve, matmul, read_matrix, write_matrix)
 
 
 class NonFiniteGradientError(LconvError):
@@ -436,14 +436,15 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
 
 
 def _eval_linear(layer, x, y, chunk=4096):
+    if x.ndim != 2 or x.shape != y.shape or x.shape[0] != layer.d or not x.size:
+        raise DimensionError(f"X {x.shape}, Y {y.shape} are not d x n, d = {layer.d}, n >= 1")
     total = 0.0
-    n = x.shape[1]
-    for start in range(0, n, chunk):
+    for start in range(0, x.shape[1], chunk):
         fb = x[:, start:start + chunk].T[:, :, None]
         yb = y[:, start:start + chunk].T[:, :, None]
         diff = layer.forward(fb) - yb
         total += float(np.sum(diff * diff))
-    return total / (n * x.shape[0])
+    return total / x.size
 
 
 def rotate_images(images, thetas, width, height):

@@ -37,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, as_matrix
+from .groups import sw_shift_generator
+from .layer import LConvLayer
+from .numerics import DegenerateInputError, DimensionError, SeededRng, as_matrix, check_value
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,12 @@ def helmholtz_field(n_points, eps_scale):
 def helmholtz_convergence(sizes, eps_scale):
     """Rows (n, el_residual_max, noether_divergence) over grid refinements
     of n >= 5 points each, for the scalar channel m2 = 1, H = eps^2,
-    v = eps that `helmholtz_field` solves."""
-    if any(n < 5 for n in sizes):
+    v = eps that `helmholtz_field` solves for a nonzero eps_scale."""
+    if any(check_value("grid size", n, int) < 5 for n in sizes):
         raise DimensionError(f"helmholtz_convergence needs grids of at least "
                              f"5 points, got sizes {list(sizes)}")
+    if check_value("eps_scale", eps_scale, float) == 0:
+        raise DegenerateInputError("eps_scale must be nonzero")
     terms = FieldTheoryTerms(m2=np.array([[1.0]]),
                              channel_metric=[[np.array([[eps_scale ** 2]])]],
                              v=[np.array([[eps_scale]])])
@@ -172,6 +176,23 @@ def helmholtz_convergence(sizes, eps_scale):
         div = noether_divergence(phi, dx, terms)
         rows.append((int(n), res, div))
     return rows
+
+
+def decomposition_check(grid_size, channels, instances, seed):
+    """Worst |direct - decomposed| / direct loss over `instances` random layers
+    (W0, scalar eps, SW shift generator) and fields of `channels` channels."""
+    check_value("channels", channels, int, 1)
+    rng = SeededRng(check_value("seed", seed, int))
+    gen = sw_shift_generator(grid_size)
+    worst = 0.0
+    for _ in range(check_value("instances", instances, int, 1)):
+        layer = LConvLayer(rng.uniform_signed(0.8, (channels, channels)),
+                           [rng.uniform_signed(0.4, ()) * np.eye(channels)], [gen])
+        phi = rng.uniform(grid_size, channels)
+        direct = mse_loss_direct(phi, layer)
+        dec = mse_loss_decomposed(phi, field_terms(layer), [gen])
+        worst = max(worst, abs(direct - dec) / max(direct, 1e-300))
+    return worst
 
 
 def metric_equivariance_check(eps, w0, xi, theta):

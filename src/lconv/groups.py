@@ -36,7 +36,7 @@ inverse builds it by the parameter, e.g. sw_shift_matrix(d, -z).
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import LconvError
+from .numerics import LconvError, check_value
 
 
 class UnsupportedSizeError(LconvError):
@@ -44,7 +44,7 @@ class UnsupportedSizeError(LconvError):
 
 
 def _check_even(d, who):
-    if d < 4 or d % 2 != 0:
+    if check_value(f"{who} grid size", d, int) < 4 or d % 2 != 0:
         raise UnsupportedSizeError(
             f"{who} needs an even grid size >= 4 (the cosine sum runs to d/2), got {d}")
 

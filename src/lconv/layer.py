@@ -133,6 +133,8 @@ class LConvLayer:
 
     def _check_shapes(self):
         m_in = self.w0.shape[0]
+        if not all(self.w0.shape):
+            raise DimensionError(f"W0 of shape {self.w0.shape} has no rows or columns")
         for i, e in enumerate(self.eps):
             if e.shape != (m_in, m_in):
                 raise DimensionError(

@@ -220,8 +220,7 @@ class SeededRng:
     """
 
     def __init__(self, seed):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
     def uniform(self, rows, cols, low=-0.5, high=0.5):
         """Uniform matrix in [low, high) derived from uniform [0, 1) doubles."""

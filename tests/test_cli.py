@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from lconv import discovery
+from lconv.approx import shift_approx_sweep
 from lconv.cli import main
-from lconv.numerics import read_matrix, write_matrix
+from lconv.fieldtheory import decomposition_check, helmholtz_convergence
+from lconv.groups import sw_shift_generator
+from lconv.layer import LConvLayer
+from lconv.numerics import LconvError, read_matrix, write_matrix
 
 
 def write_cfg(path, cfg):
@@ -142,6 +146,31 @@ def test_bad_value_rejected_before_writing(tmp_path, command, cfg):
     path = write_cfg(tmp_path / "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
     assert run(command, "--config", path) == 2
     assert not (tmp_path / "out").exists()
+
+
+def _eval_linear(x, y):
+    layer = LConvLayer(np.eye(1), [np.eye(1)], [sw_shift_generator(8)])
+    return discovery._eval_linear(layer, x, y)
+
+
+# the library functions behind eval, approx and theory reject by themselves
+# the values those commands reject before writing
+@pytest.mark.parametrize("call", [
+    lambda: shift_approx_sweep(8, "2", [4]),
+    lambda: shift_approx_sweep("8", 2.0, [4]),
+    lambda: helmholtz_convergence([32.5], 1.0),
+    lambda: helmholtz_convergence([32], 0.0),
+    lambda: decomposition_check(16, 3, 1.5, 0),
+    lambda: decomposition_check(16, 3, 2, "0"),
+    lambda: decomposition_check(16, 0, 2, 0),
+    lambda: _eval_linear(np.zeros((8, 3)), np.zeros((8, 2))),
+    lambda: _eval_linear(np.zeros((8, 0)), np.zeros((8, 0))),
+], ids=["approx-z-str", "approx-d-str", "helmholtz-size-float", "helmholtz-eps-0",
+        "decomposition-instances-float", "decomposition-seed-str",
+        "decomposition-channels-0", "eval-widths-differ", "eval-no-samples"])
+def test_library_rejects_bad_argument(call):
+    with pytest.raises(LconvError):
+        call()
 
 
 class TestTrain:

@@ -81,6 +81,13 @@ class TestForward:
         with pytest.raises(DimensionError, match="at least one generator"):
             LConvLayer(np.eye(2), [], [])
 
+    @pytest.mark.parametrize("w0", [np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0))],
+                             ids=["0x0", "0x2", "2x0"])
+    def test_w0_needs_rows_and_columns(self, w0):
+        m_in = w0.shape[0]
+        with pytest.raises(DimensionError, match="no rows or columns"):
+            LConvLayer(w0, [np.zeros((m_in, m_in))], [np.zeros((4, 4))])
+
     def test_float64_generator_is_held_as_given(self):
         m = SeededRng(35).uniform(4, 4)
         assert LConvLayer(np.eye(1), [np.eye(1)], [m]).generators[0] is m
