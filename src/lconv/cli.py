@@ -205,6 +205,7 @@ def cmd_eval(cfg):
     with _config_errors():
         mse = _eval_linear(layer, x, y)
     out_dir = _echo_run("eval", cfg)
+    check_finite(mse, "test_mse")
     _write_json(os.path.join(out_dir, "eval.json"),
                 {"test_mse": mse, "checkpoint_epoch": extra.get("epoch")})
     print(f"test_mse {mse:.6e}")

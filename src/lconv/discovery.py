@@ -65,6 +65,10 @@ def _check_fields(obj, **low):
 
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # moment decays, denominator floor
+# A test MSE adds one np.sum per chunk of this many samples, which fixes its
+# rounding; the angle data are resampled and evaluated in blocks of
+# SAMPLE_BLOCK samples, which bounds their temporaries and moves no bit.
+MSE_SUM_CHUNK_LINEAR, MSE_SUM_CHUNK_ANGLE, SAMPLE_BLOCK = 4096, 2048, 256
 
 
 @dataclass
@@ -435,24 +439,24 @@ def train_fixed_angle(task, opt, resume=None, checkpoint_dir=None):
     return _close_run(report, layer, params, state, opt, checkpoint_dir)
 
 
-def _eval_linear(layer, x, y, chunk=4096):
+def _eval_linear(layer, x, y):
     if x.ndim != 2 or x.shape != y.shape or x.shape[0] != layer.d or not x.size:
         raise DimensionError(f"X {x.shape}, Y {y.shape} are not d x n, d = {layer.d}, n >= 1")
     total = 0.0
-    for start in range(0, x.shape[1], chunk):
-        fb = x[:, start:start + chunk].T[:, :, None]
-        yb = y[:, start:start + chunk].T[:, :, None]
+    for start in range(0, x.shape[1], MSE_SUM_CHUNK_LINEAR):
+        fb = x[:, start:start + MSE_SUM_CHUNK_LINEAR].T[:, :, None]
+        yb = y[:, start:start + MSE_SUM_CHUNK_LINEAR].T[:, :, None]
         diff = layer.forward(fb) - yb
         total += float(np.sum(diff * diff))
     return total / x.size
 
 
 def rotate_images(images, thetas, width, height):
-    """Rotate each row image by its own angle via bilinear resampling."""
-    n, d = images.shape
+    """Rotate each row image by its own angle via bilinear resampling,
+    SAMPLE_BLOCK rows at a time; the resampler works element by element."""
     out = np.empty_like(images)
-    for start in range(0, n, 2048):
-        sl = slice(start, min(start + 2048, n))
+    for start in range(0, len(images), SAMPLE_BLOCK):
+        sl = slice(start, start + SAMPLE_BLOCK)
         out[sl] = _bilinear_resample(images[sl], thetas[sl], width, height)
     return out
 
@@ -562,13 +566,21 @@ def train_angle_regression(task, opt, resume=None, checkpoint_dir=None):
     return _close_run(report, layer, params, state, opt, checkpoint_dir)
 
 
-def _eval_angle(params, layer, data, t, m, chunk=2048):
+def _eval_angle(params, layer, data, t, m):
+    """Test MSE: one np.sum of the squared errors per MSE_SUM_CHUNK_ANGLE
+    samples.  A chunk runs through `_angle_forward` in blocks of
+    SAMPLE_BLOCK samples, and each prediction keeps the bits the whole
+    chunk gives it: every block starts at a multiple of 4 samples (40
+    columns at m = 10), so the GEMM column tails fall as the chunk's do,
+    and a one-sample tail joins the block before it, as numpy forms a
+    one-row head product with another kernel."""
     total = 0.0
-    n = data["theta_test"].size
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        pred, _ = _angle_forward(params, layer, data["f_test"][sl],
-                                 data["y_test"][sl], t, m)
-        diff = pred - data["theta_test"][sl]
+    f, y, theta = data["f_test"], data["y_test"], data["theta_test"]
+    for start in range(0, theta.size, MSE_SUM_CHUNK_ANGLE):
+        stop = min(start + MSE_SUM_CHUNK_ANGLE, theta.size)
+        cuts = [start, *range(start + SAMPLE_BLOCK, stop - 1, SAMPLE_BLOCK), stop]
+        pred = np.concatenate([_angle_forward(params, layer, f[a:b], y[a:b], t, m)[0]
+                               for a, b in zip(cuts, cuts[1:])])
+        diff = pred - theta[start:stop]
         total += float(np.sum(diff * diff))
-    return total / n
+    return total / theta.size

@@ -367,6 +367,24 @@ class TestEval:
         assert run("eval", "--config", eval_cfg) == 2
         assert not (tmp_path / "evalout").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mse_exits_3(self, tmp_path):
+        # entries near 1e200 are finite, so read_matrix takes them, but
+        # their squared errors overflow: the MSE reads inf, so no eval.json
+        for command, out, cfg in (("gen-data", "data", FIXED),
+                                  ("train", "run", dict(FIXED, optimizer=OPT))):
+            path = write_cfg(tmp_path / f"{out}.json",
+                             dict(cfg, out_dir=str(tmp_path / out)))
+            assert run(command, "--config", path) == 0
+        path = tmp_path / "data" / "X_test.mat"
+        write_matrix(path, read_matrix(path) * 1e200)
+        eval_cfg = write_cfg(tmp_path / "e.json",
+                             {"checkpoint": str(tmp_path / "run" / "checkpoint"),
+                              "data_dir": str(tmp_path / "data"),
+                              "out_dir": str(tmp_path / "evalout")})
+        assert run("eval", "--config", eval_cfg) == 3
+        assert not (tmp_path / "evalout" / "eval.json").exists()
+
     def test_missing_checkpoint_writes_nothing(self, tmp_path):
         eval_cfg = write_cfg(tmp_path / "e.json",
                              {"checkpoint": str(tmp_path / "nope"),

@@ -2,20 +2,22 @@ import ctypes
 import glob
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from lconv import discovery
-from lconv.discovery import (ADAM_B1, ADAM_B2, ADAM_EPS, AngleRegressionTask,
+from lconv.discovery import (ADAM_B1, ADAM_B2, ADAM_EPS, MSE_SUM_CHUNK_ANGLE,
+                             AngleRegressionTask,
                              FixedAngleTask, NonFiniteGradientError, OptimizerConfig,
                              adam_init, adam_step, gen_angle_pairs_dataset,
                              gen_fixed_angle_dataset, load_train_state,
                              rotate_images, save_train_state,
                              train_fixed_angle, train_angle_regression,
-                             _angle_forward, _angle_params, _open_run)
-from lconv.groups import UnsupportedSizeError
+                             _angle_forward, _angle_params, _eval_angle, _open_run)
+from lconv.groups import UnsupportedSizeError, _bilinear_resample
 from lconv.layer import LConvLayer
 from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
                             finite_difference_gradient, read_matrix)
@@ -24,6 +26,19 @@ from lconv.numerics import (DegenerateInputError, LconvError, SeededRng,
 def sha256(a):
     return hashlib.sha256(
         np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# the benchmark's angle task: 30000/2000 pairs, m 10, t 3
+BENCH_ANGLE = AngleRegressionTask(n_train=30000, n_test=2000, m_copies=10, recursions=3)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOptimizers:
@@ -177,13 +192,8 @@ class TestFixedAngleDataset:
     def test_training_split_built_in_place(self):
         # X and Y are written straight into their sample-major arrays: no
         # full-size C-ordered draw, product or copy lives beside them
-        import tracemalloc
-        tracemalloc.start()
-        try:
-            data = gen_fixed_angle_dataset(FixedAngleTask(n_train=20000, n_test=100))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(gen_fixed_angle_dataset,
+                                 FixedAngleTask(n_train=20000, n_test=100))
         returned = sum(a.nbytes for a in data.values())
         assert peak <= 1.25 * returned, (peak, returned)
 
@@ -296,6 +306,20 @@ class TestAnglePairsDataset:
         expected = t.n_train / 10.0
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.99, df=9)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 2049])
+    def test_rotate_images_in_blocks_keeps_bits(self, n):
+        rng = SeededRng(12)
+        imgs = rng.uniform(n, 49)
+        thetas = rng.uniform(n, 1, low=-np.pi, high=np.pi).ravel()
+        assert np.array_equal(rotate_images(imgs, thetas, 7, 7),
+                              _bilinear_resample(imgs, thetas, 7, 7))
+
+    def test_peak_near_returned_bytes(self):
+        # the resampler's temporaries span one block of rows, not the split
+        data, peak = traced_peak(gen_angle_pairs_dataset, BENCH_ANGLE)
+        returned = sum(a.nbytes for a in data.values())
+        assert peak <= 1.15 * returned, (peak, returned)
 
 
 class TestFixedAngleTraining:
@@ -504,6 +528,38 @@ class TestAngleRegressionPieces:
         assert [r[0] for r in resumed.loss_curve] == [2]
         assert resumed.loss_curve == full.loss_curve[2:]
         assert np.array_equal(resumed.arrays["generator"], full.arrays["generator"])
+
+    def test_blocked_eval_keeps_whole_chunk_bits(self):
+        # n runs over one-sample tails (1, 257, 513, 2049), block edges and
+        # ragged blocks, on parameters away from the initial draw.  Scored
+        # against the labels and against the whole-chunk predictions, whose
+        # MSE is 0 only when every blocked prediction keeps its bits
+        task = AngleRegressionTask(n_train=1, n_test=2049, seed=8)
+        data = gen_angle_pairs_dataset(task)
+        rng = SeededRng(9)
+        params = {k: v + rng.uniform_signed(0.05, np.shape(v))
+                  for k, v in _angle_params(task, rng).items()}
+        layer = LConvLayer(np.eye(10), [params["eps"]], [params["gen"]])
+
+        def chunks(n):
+            return [slice(s, s + MSE_SUM_CHUNK_ANGLE) for s in range(0, n, MSE_SUM_CHUNK_ANGLE)]
+
+        for n in (1, 2, 3, 4, 5, 255, 256, 257, 258, 513, 2000, 2049):
+            f, y = data["f_test"][:n], data["y_test"][:n]
+            pred = np.concatenate([_angle_forward(params, layer, f[sl], y[sl], 3, 10)[0]
+                                   for sl in chunks(n)])
+            for theta in (data["theta_test"][:n], pred):
+                total = sum(float(np.sum((pred[sl] - theta[sl]) ** 2)) for sl in chunks(n))
+                test = {"f_test": f, "y_test": y, "theta_test": theta}
+                assert _eval_angle(params, layer, test, 3, 10) == total / n, n
+
+    def test_eval_peak_bounded(self):
+        # no (d, n_test, m) activation stack: a block's temporaries only
+        data = gen_angle_pairs_dataset(BENCH_ANGLE)
+        params = _angle_params(BENCH_ANGLE, SeededRng(2))
+        layer = LConvLayer(np.eye(10), [params["eps"]], [params["gen"]])
+        _, peak = traced_peak(_eval_angle, params, layer, data, 3, 10)
+        assert peak <= 6e6, peak
 
 
 class TestTrainStateIO:
